@@ -14,7 +14,7 @@ from fractions import Fraction
 from .identities import CATALOG, IdentityId, identity_sides, required_bindings
 from .quaternions import binet_quaternion, build_quaternion
 from .scalars import parse_rational
-from .sequences import Family, SequenceSpec, seq_binet, seq_term
+from .sequences import Family, SequenceSpec, seq_binet, seq_row, seq_term
 from .verifier import SweepConfig, default_config, reports_to_json, summary_lines, sweep
 
 USAGE_ERROR = 2
@@ -78,8 +78,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     if args.start > args.end:
         print("error: --from must not exceed --to", file=sys.stderr)
         return USAGE_ERROR
-    spec = SequenceSpec(args.family, args.k)
-    values = [str(seq_term(spec, n)) for n in range(args.start, args.end + 1)]
+    terms = seq_row(args.family, args.k, args.start, args.end - args.start + 1)
+    values = [str(term) for term in terms]
     if args.format == "csv":
         print(",".join(values))
     elif args.format == "plain":

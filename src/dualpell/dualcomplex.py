@@ -46,6 +46,8 @@ def _cmul(x: tuple, y: tuple) -> tuple:
 
 def _cdiv(x: tuple, y: tuple) -> tuple:
     norm = y[0] * y[0] + y[1] * y[1]
+    if isinstance(norm, int):
+        norm = Fraction(norm)  # int / int would be a float
     return (
         (x[0] * y[0] + x[1] * y[1]) / norm,
         (x[1] * y[0] - x[0] * y[1]) / norm,
@@ -60,16 +62,6 @@ class DualComplex:
     imag: Any
     dual: Any
     dual_imag: Any
-
-    @classmethod
-    def from_scalar(cls, x: Any) -> "DualComplex":
-        zero = x - x
-        return cls(x, zero, zero, zero)
-
-    @classmethod
-    def from_complex_pair(cls, re: Any, im: Any) -> "DualComplex":
-        zero = re - re
-        return cls(re, im, zero, zero)
 
     def complex_part(self) -> tuple:
         """z1 of the split w = z1 + eps*z2."""

@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 
 from .dualcomplex import DC_EPS, DC_I, DC_IEPS, Conjugation, DualComplex
 from .quaternions import binet_quaternion, gamma_closed
-from .sequences import Family, dc_number, pell_term, seq_binet, seq_prefix_sum
+from .sequences import Family, dc_number, pell_term, seq_binet, seq_prefix_sum, seq_row
 
 
 class IdentityId(Enum):
@@ -285,9 +285,8 @@ def _sides_g13(k, b):
 
 def _sides_g14(k, b):
     n = b["n"]
-    total = _dc(0)
-    for s in range(n + 1):
-        total = total + _q(k, s)
+    row = seq_row(Family.K_PELL, k, 0, n + 4)
+    total = sum((DualComplex(*row[s : s + 4]) for s in range(n + 1)), _dc(0))
     closed = _q(k, n + 1) + _q(k, n).scale(k) - _q(k, 1) + _q(k, 0)
     return total, closed.scale(1 / (k + 1))
 
@@ -361,7 +360,7 @@ def _sides_binet_quaternion(k, b):
 
 def _sides_prefix_sum(k, b):
     n = b["n"]
-    literal = sum((pell_term(k, j) for j in range(n + 1)), Fraction(0))
+    literal = sum(seq_row(Family.K_PELL, k, 0, n + 1), Fraction(0))
     return _embed(seq_prefix_sum(k, n)), _embed(literal)
 
 
@@ -415,22 +414,25 @@ def _pre_catalan(b: dict) -> bool:
     return 1 <= b["r"] <= b["n"]
 
 
+# F22S, F23 and F25 restate F12S, F13 and F15 and share their entries.
+_F12S = CatalogEntry(
+    ("n",), True, _nonneg, _product_entry(Conjugation.COMPLEX, _rhs_f12_simplified)
+)
+_F13 = CatalogEntry(("n",), True, _nonneg, _product_entry(Conjugation.DUAL, _rhs_f13))
+_F15 = CatalogEntry(
+    ("n",), True, _nonneg, _product_entry(Conjugation.DUAL_COMPLEX, _rhs_pure_scalar)
+)
+
 CATALOG: dict[IdentityId, CatalogEntry] = {
-    IdentityId.F12S: CatalogEntry(
-        ("n",), True, _nonneg, _product_entry(Conjugation.COMPLEX, _rhs_f12_simplified)
-    ),
+    IdentityId.F12S: _F12S,
     IdentityId.F12RAW: CatalogEntry(
         ("n",), True, _nonneg, _product_entry(Conjugation.COMPLEX, _rhs_f12_raw)
     ),
-    IdentityId.F13: CatalogEntry(
-        ("n",), True, _nonneg, _product_entry(Conjugation.DUAL, _rhs_f13)
-    ),
+    IdentityId.F13: _F13,
     IdentityId.F14: CatalogEntry(
         ("n",), True, _nonneg, _product_entry(Conjugation.COUPLED, _rhs_f14_closed)
     ),
-    IdentityId.F15: CatalogEntry(
-        ("n",), True, _nonneg, _product_entry(Conjugation.DUAL_COMPLEX, _rhs_pure_scalar)
-    ),
+    IdentityId.F15: _F15,
     IdentityId.F16: CatalogEntry(
         ("n",),
         True,
@@ -461,18 +463,12 @@ CATALOG: dict[IdentityId, CatalogEntry] = {
     IdentityId.F19: CatalogEntry(("n",), True, _nonneg, _sides_f19),
     IdentityId.F20: CatalogEntry(("n",), True, _nonneg, _sides_f20),
     IdentityId.F21: CatalogEntry(("n",), True, _nonneg, _sides_f21),
-    IdentityId.F22S: CatalogEntry(
-        ("n",), True, _nonneg, _product_entry(Conjugation.COMPLEX, _rhs_f12_simplified)
-    ),
-    IdentityId.F23: CatalogEntry(
-        ("n",), True, _nonneg, _product_entry(Conjugation.DUAL, _rhs_f13)
-    ),
+    IdentityId.F22S: _F12S,
+    IdentityId.F23: _F13,
     IdentityId.F24: CatalogEntry(
         ("n",), True, _nonneg, _product_entry(Conjugation.COUPLED, _rhs_f24_raw)
     ),
-    IdentityId.F25: CatalogEntry(
-        ("n",), True, _nonneg, _product_entry(Conjugation.DUAL_COMPLEX, _rhs_pure_scalar)
-    ),
+    IdentityId.F25: _F15,
     IdentityId.F26: CatalogEntry(("n",), True, _nonneg, _sides_f26),
     IdentityId.F27: CatalogEntry(("n",), True, _nonneg, _sides_f27),
     IdentityId.F28: CatalogEntry(("n",), True, _nonneg, _sides_f28),
@@ -529,7 +525,11 @@ def identity_sides(
             f"{ident.value} requires bindings {required}: "
             f"missing {missing or 'none'}, unexpected {extra or 'none'}"
         )
-    ints = {name: int(bindings[name]) for name in entry.params}  # type: ignore[call-overload]
+    ints = {name: bindings[name] for name in entry.params}
+    if not all(isinstance(value, int) for value in ints.values()):
+        raise ValueError(f"n, m and r must be int for {ident.value}: {dict(bindings)}")
+    if entry.uses_k and not isinstance(bindings["k"], (int, Fraction)):
+        raise ValueError(f"k must be an int or a Fraction, got {bindings['k']!r}")
     if not entry.pre(ints):
         raise ValueError(f"bindings out of range for {ident.value}: {dict(bindings)}")
     k = Fraction(bindings["k"]) if entry.uses_k else Fraction(1)  # type: ignore[arg-type]

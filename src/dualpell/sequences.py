@@ -3,13 +3,17 @@
 P is defined by P_0 = 0, P_1 = 1, P_{n+1} = 2 P_n + k P_{n-1}; the companion
 and modified sequences are the linear combinations PL_n = 2(P_{n+1} - P_n)
 and MP_n = P_{n+1} - P_n, which satisfy the same recurrence. Negative indices
-extend backwards through P_{n-2} = (P_n - 2 P_{n-1}) / k, which is exact
-because k is a positive rational.
+follow from P_{-j} = -P_j / (-k)^j, which holds because alpha * beta = -k.
+
+Every term comes from one integer engine. With k = p/q, the cleared terms
+A_j = q^(j-1) P_j are integers: A_lo is reached by fast doubling (from
+P_2n = P_n PL_n) and the rest of a row follows the cleared recurrence, so a
+Fraction is built only for the terms that are returned.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -54,71 +58,66 @@ class SequenceSpec:
             raise ValueError(f"k must be positive, got {self.k}")
 
 
-# Per-k tables of P terms, grown on demand. Purely a cache: results are
-# identical with or without it, and fills are idempotent.
-_cache: dict[Fraction, tuple[list[Fraction], list[Fraction]]] = {}
-_cache_lock = threading.Lock()
+def _cleared(p: int, q: int, lo: int, count: int):
+    """A_lo ... A_{lo+count-1} for lo >= 0, where A_j = q^(j-1) P_j and k = p/q."""
+    a, b = 0, 1  # (A_m, A_{m+1}), doubled from m = 0 up to m = lo bit by bit
+    for bit in bin(lo)[2:]:
+        a, b = 2 * a * (b - q * a), b * b + p * q * a * a
+        if bit == "1":
+            a, b = b, 2 * q * b + p * q * a
+    for _ in range(count):
+        yield a
+        a, b = b, 2 * q * b + p * q * a
 
 
-def pell_term(k: Fraction | int, n: int) -> Fraction:
-    """P_{k,n} for any integer n (negative indices via backward recurrence)."""
+@functools.cache
+def _pell_row(p: int, q: int, lo: int, count: int) -> tuple[Fraction, ...]:
+    """P_lo ... P_{lo+count-1} for k = p/q, any integer lo."""
+    neg = min(max(-lo, 0), count)  # how many of the indices are negative
+    terms = []
+    if neg:
+        # P_{-j} = -P_j / (-k)^j = -q A_j / (-p)^j, built for j ascending
+        j = -lo - neg + 1
+        den = (-p) ** j
+        for a in _cleared(p, q, j, neg):
+            terms.append(Fraction(-q * a, den))
+            den *= -p
+        terms.reverse()
+    start = max(lo, 0)
+    den = q**start
+    for a in _cleared(p, q, start, count - neg):
+        terms.append(Fraction(q * a, den))  # P_j = q A_j / q^j
+        den *= q
+    return tuple(terms)
+
+
+def seq_row(family: Family, k: Fraction | int, lo: int, count: int) -> tuple[Fraction, ...]:
+    """The terms S_lo ... S_{lo+count-1} of the family, exact, any integer lo."""
     k = Fraction(k)
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    with _cache_lock:
-        fwd, bwd = _cache.setdefault(k, ([Fraction(0), Fraction(1)], []))
-        if n >= 0:
-            while len(fwd) <= n:
-                fwd.append(2 * fwd[-1] + k * fwd[-2])
-            return fwd[n]
-        # bwd[j] holds P_{-1-j}
-        while len(bwd) <= -n - 1:
-            succ2 = fwd[1] if len(bwd) < 1 else (fwd[0] if len(bwd) < 2 else bwd[-2])
-            succ1 = fwd[0] if len(bwd) < 1 else bwd[-1]
-            bwd.append((succ2 - 2 * succ1) / k)
-        return bwd[-n - 1]
+    if family is Family.K_PELL:
+        return _pell_row(k.numerator, k.denominator, lo, count)
+    row = _pell_row(k.numerator, k.denominator, lo, count + 1)
+    scale = 2 if family is Family.K_PELL_LUCAS else 1
+    return tuple(scale * (b - a) for a, b in zip(row, row[1:]))
+
+
+def pell_term(k: Fraction | int, n: int) -> Fraction:
+    """P_{k,n} for any integer n."""
+    return seq_row(Family.K_PELL, k, n, 1)[0]
 
 
 def seq_term(spec: SequenceSpec, n: int) -> Fraction:
     """The n-th term of the chosen family, exact, any integer index."""
-    if spec.family is Family.K_PELL:
-        return pell_term(spec.k, n)
-    if spec.family is Family.K_PELL_LUCAS:
-        return 2 * (pell_term(spec.k, n + 1) - pell_term(spec.k, n))
-    return pell_term(spec.k, n + 1) - pell_term(spec.k, n)
-
-
-def _mat_mul(x: tuple, y: tuple) -> tuple:
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
+    return seq_row(spec.family, spec.k, n, 1)[0]
 
 
 def seq_term_fast(spec: SequenceSpec, n: int) -> Fraction:
-    """Same value as seq_term for n >= 0, via companion-matrix squaring.
-
-    (P_{n+1}, P_n) is the first column of [[2, k], [1, 0]]^n, so the cost is
-    O(log n) big-number multiplications instead of n recurrence steps.
-    """
+    """seq_term for n >= 0; a negative index is rejected, as in the closed forms."""
     if n < 0:
         raise ValueError("fast evaluation is defined for n >= 0 only")
-    acc = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-    base = (Fraction(2), spec.k, Fraction(1), Fraction(0))
-    e = n
-    while e:
-        if e & 1:
-            acc = _mat_mul(acc, base)
-        base = _mat_mul(base, base)
-        e >>= 1
-    p_next, p_n = acc[0], acc[2]
-    if spec.family is Family.K_PELL:
-        return p_n
-    if spec.family is Family.K_PELL_LUCAS:
-        return 2 * (p_next - p_n)
-    return p_next - p_n
+    return seq_term(spec, n)
 
 
 def seq_binet(k: Fraction | int, n: int) -> Fraction:
@@ -139,10 +138,4 @@ def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:
 
 def dc_number(family: Family, k: Fraction | int, n: int) -> DualComplex:
     """Dual-complex number S_n + i S_{n+1} + eps S_{n+2} + i eps S_{n+3}."""
-    spec = SequenceSpec(family, Fraction(k))
-    return DualComplex(
-        seq_term(spec, n),
-        seq_term(spec, n + 1),
-        seq_term(spec, n + 2),
-        seq_term(spec, n + 3),
-    )
+    return DualComplex(*seq_row(family, k, n, 4))

@@ -157,12 +157,6 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
     return reports
 
 
-def adjudicate(ident: IdentityId) -> Verdict:
-    """Verdict of the default sweep restricted to one identity."""
-    (report,) = sweep(default_config([ident]))
-    return report.verdict
-
-
 def counterexample_to_dict(ce: Counterexample) -> dict:
     out: dict = {}
     for key in ("k", "n", "m", "r"):

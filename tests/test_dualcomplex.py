@@ -183,3 +183,24 @@ def test_json_roundtrip():
 def test_render():
     assert dc(0, 1, 2, 5).render() == "0 + 1·i + 2·eps + 5·i·eps"
     assert dc(Fraction(1, 2), -1).render() == "1/2 + -1·i + 0·eps + 0·i·eps"
+
+
+@pytest.mark.parametrize("scalar", [int, Fraction])
+def test_division_and_conjugation_never_yield_floats(scalar):
+    # int coefficients must divide into Fractions, never into floats like -1.4000000000000001
+    rng = random.Random(9)
+    for _ in range(200):
+        x = DualComplex(*(scalar(rng.randint(-50, 50)) for _ in range(4)))
+        y = DualComplex(*(scalar(rng.randint(-50, 50)) for _ in range(4)))
+        if y.has_zero_complex_part():
+            continue
+        quotient = x / y
+        for result in [quotient] + [y.conjugate(kind) for kind in Conjugation]:
+            assert not any(isinstance(c, float) for c in result.coefficients())
+        assert quotient * y == x
+
+
+def test_int_division_is_exact():
+    q = DualComplex(1, 2, 3, 4) / DualComplex(3, 1, 0, 5)
+    assert q.coefficients() == (Fraction(1, 2), Fraction(1, 2), Fraction(9, 5), Fraction(-1, 10))
+    assert DualComplex(1, 2, 3, 4).conjugate(Conjugation.DUAL_COMPLEX).dual == Fraction(-7, 5)

@@ -172,3 +172,26 @@ def test_range_violation_rejected():
 def test_nonpositive_k_rejected():
     with pytest.raises(ValueError):
         identity_sides(IdentityId.G18, bindings(k=0, n=1))
+
+
+@pytest.mark.parametrize(
+    "ident, bad",
+    [
+        (IdentityId.G9, {"k": 1, "n": 1.7}),
+        (IdentityId.G9, {"k": 1, "n": "3"}),
+        (IdentityId.G13, {"k": 1, "n": 1, "m": Fraction(2)}),
+        (IdentityId.G19PROOF, {"k": 1, "n": 2, "r": 1.0}),
+        (IdentityId.G9, {"k": 0.1, "n": 1}),
+        (IdentityId.G9, {"k": "2", "n": 1}),
+        (IdentityId.RING_AXIOMS, {"n": 0.5}),
+    ],
+)
+def test_non_integral_or_inexact_bindings_rejected(ident, bad):
+    with pytest.raises(ValueError):
+        identity_sides(ident, bad)
+
+
+def test_int_and_fraction_bindings_accepted():
+    assert identity_sides(IdentityId.G9, {"k": 2, "n": 3}) == identity_sides(
+        IdentityId.G9, {"k": Fraction(2), "n": 3}
+    )
