@@ -250,7 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # Exact values can be any length, so the int->str digit cap (Python 3.10.7+)
+    # is lifted for this call only and restored for in-process callers.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return args.func(args)
+    previous = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return args.func(args)
+    finally:
+        set_limit(previous)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ Writing w = z1 + eps*z2 with complex z1, z2, an element is invertible exactly
 when z1 is nonzero; elements with z1 = 0 are zero divisors (eps is nilpotent).
 
 Coefficients are generic over an exact scalar ring: everything here works the
-same over Fraction and over QuadExt, which is how the Binet machinery reuses
-one multiplication code path.
+same over int, Fraction and QuadExt, which is how the Binet machinery reuses
+one multiplication code path. int and Fraction coefficients may mix; division
+promotes an int norm to Fraction, so no coefficient ever becomes a float.
 """
 
 from __future__ import annotations
@@ -177,8 +178,8 @@ class DualComplex:
         )
 
 
-DC_ZERO = DualComplex(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-DC_ONE = DualComplex(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-DC_I = DualComplex(Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-DC_EPS = DualComplex(Fraction(0), Fraction(0), Fraction(1), Fraction(0))
-DC_IEPS = DualComplex(Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+DC_ZERO = DualComplex(0, 0, 0, 0)
+DC_ONE = DualComplex(1, 0, 0, 0)
+DC_I = DualComplex(0, 1, 0, 0)
+DC_EPS = DualComplex(0, 0, 1, 0)
+DC_IEPS = DualComplex(0, 0, 0, 1)

@@ -21,6 +21,7 @@ from typing import Callable, Mapping
 
 from .dualcomplex import DC_EPS, DC_I, DC_IEPS, Conjugation, DualComplex
 from .quaternions import binet_quaternion, gamma_closed
+from .scalars import positive_k
 from .sequences import Family, dc_number, pell_term, seq_binet, seq_prefix_sum, seq_row
 
 
@@ -75,7 +76,7 @@ class IdentityId(Enum):
 
 
 Bindings = Mapping[str, object]
-Sides = Callable[[Fraction, dict], tuple[DualComplex, DualComplex]]
+Sides = Callable[[Fraction | int, dict], tuple[DualComplex, DualComplex]]
 
 
 @dataclass(frozen=True)
@@ -91,18 +92,18 @@ def _sign(n: int) -> int:
 
 
 def _embed(x: Fraction | int) -> DualComplex:
-    return DualComplex(Fraction(x), Fraction(0), Fraction(0), Fraction(0))
+    return DualComplex(x, 0, 0, 0)
 
 
-def _complex(re: Fraction, im: Fraction) -> DualComplex:
-    return DualComplex(re, im, Fraction(0), Fraction(0))
+def _complex(re: Fraction | int, im: Fraction | int) -> DualComplex:
+    return DualComplex(re, im, 0, 0)
 
 
 def _dc(one, i=0, eps=0, ieps=0) -> DualComplex:
-    return DualComplex(Fraction(one), Fraction(i), Fraction(eps), Fraction(ieps))
+    return DualComplex(one, i, eps, ieps)
 
 
-def _q(k: Fraction, n: int) -> DualComplex:
+def _q(k: Fraction | int, n: int) -> DualComplex:
     return dc_number(Family.K_PELL, k, n)
 
 
@@ -192,13 +193,13 @@ def _sides_f21(k, b):
 def _sides_f26(k, b):
     n = b["n"]
     d = lambda j: dc_number(Family.K_PELL, k, j)
-    return d(n + 2), d(n + 1).scale(Fraction(2)) + d(n).scale(k)
+    return d(n + 2), d(n + 1).scale(2) + d(n).scale(k)
 
 
 def _sides_f27(k, b):
     n = b["n"]
     d = lambda j: dc_number(Family.K_PELL_LUCAS, k, j)
-    return d(n + 2), d(n + 1).scale(Fraction(2)) + d(n).scale(k)
+    return d(n + 2), d(n + 1).scale(2) + d(n).scale(k)
 
 
 def _sides_f28(k, b):
@@ -216,20 +217,20 @@ def _sides_f29(k, b):
 def _sides_f30(k, b):
     n = b["n"]
     d = lambda j: dc_number(Family.K_PELL, k, j)
-    return dc_number(Family.K_PELL_LUCAS, k, n), (d(n + 1) - d(n)).scale(Fraction(2))
+    return dc_number(Family.K_PELL_LUCAS, k, n), (d(n + 1) - d(n)).scale(2)
 
 
 def _sides_f31(k, b):
     n = b["n"]
     d = lambda j: dc_number(Family.K_PELL, k, j)
-    return dc_number(Family.K_PELL_LUCAS, k, n + 1), (d(n + 1) + d(n)).scale(Fraction(2))
+    return dc_number(Family.K_PELL_LUCAS, k, n + 1), (d(n + 1) + d(n)).scale(2)
 
 
 # --- quaternion identities (G9-G19) ------------------------------------------
 
 def _sides_g9(k, b):
     n = b["n"]
-    return _q(k, n + 2), _q(k, n + 1).scale(Fraction(2)) + _q(k, n).scale(k)
+    return _q(k, n + 2), _q(k, n + 1).scale(2) + _q(k, n).scale(k)
 
 
 def _sides_g10(k, b):
@@ -259,7 +260,7 @@ def _sides_g11(k, b):
         2 * p(2 * n + 4) - p(2 * n + 2),
         -3 * p(2 * n + 3),
     )
-    return lhs, _q(k, 2 * n).scale(Fraction(2)) - tail.scale(Fraction(2))
+    return lhs, _q(k, 2 * n).scale(2) - tail.scale(2)
 
 
 def _sides_g12(k, b):
@@ -288,7 +289,7 @@ def _sides_g14(k, b):
     row = seq_row(Family.K_PELL, k, 0, n + 4)
     total = sum((DualComplex(*row[s : s + 4]) for s in range(n + 1)), _dc(0))
     closed = _q(k, n + 1) + _q(k, n).scale(k) - _q(k, 1) + _q(k, 0)
-    return total, closed.scale(1 / (k + 1))
+    return total, closed.scale(Fraction(1, k + 1))
 
 
 def _sides_g17(k, b):
@@ -360,7 +361,7 @@ def _sides_binet_quaternion(k, b):
 
 def _sides_prefix_sum(k, b):
     n = b["n"]
-    literal = sum(seq_row(Family.K_PELL, k, 0, n + 1), Fraction(0))
+    literal = sum(seq_row(Family.K_PELL, k, 0, n + 1))
     return _embed(seq_prefix_sum(k, n)), _embed(literal)
 
 
@@ -528,11 +529,7 @@ def identity_sides(
     ints = {name: bindings[name] for name in entry.params}
     if not all(isinstance(value, int) for value in ints.values()):
         raise ValueError(f"n, m and r must be int for {ident.value}: {dict(bindings)}")
-    if entry.uses_k and not isinstance(bindings["k"], (int, Fraction)):
-        raise ValueError(f"k must be an int or a Fraction, got {bindings['k']!r}")
+    k = positive_k(bindings["k"]) if entry.uses_k else 1  # type: ignore[arg-type]
     if not entry.pre(ints):
         raise ValueError(f"bindings out of range for {ident.value}: {dict(bindings)}")
-    k = Fraction(bindings["k"]) if entry.uses_k else Fraction(1)  # type: ignore[arg-type]
-    if entry.uses_k and k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
     return entry.sides(k, ints)

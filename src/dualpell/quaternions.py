@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dualcomplex import DualComplex
-from .scalars import QuadExt, make_alpha_beta, rationalize
+from .scalars import QuadExt, make_alpha_beta, positive_k, rationalize
 from .sequences import Family, dc_number
 
 
@@ -21,10 +21,10 @@ class PellQuaternion:
 
     value: DualComplex
     family: Family
-    k: Fraction
+    k: Fraction | int
     n: int
 
-    def scalar_part(self) -> Fraction:
+    def scalar_part(self) -> Fraction | int:
         return self.value.real
 
     def vector_part(self) -> DualComplex:
@@ -37,7 +37,7 @@ class PellQuaternion:
 
 
 def build_quaternion(family: Family, k: Fraction | int, n: int) -> PellQuaternion:
-    return PellQuaternion(dc_number(family, k, n), family, Fraction(k), n)
+    return PellQuaternion(dc_number(family, k, n), family, positive_k(k), n)
 
 
 def hat_pair(k: Fraction | int) -> tuple[DualComplex, DualComplex]:
@@ -72,8 +72,8 @@ def binet_quaternion(k: Fraction | int, n: int) -> DualComplex:
 
 def gamma_closed(k: Fraction | int) -> DualComplex:
     """Polynomial form (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps."""
-    k = Fraction(k)
-    return DualComplex(1 + k, Fraction(2), 2 * k * k + 6 * k + 4, 4 * k + 8)
+    k = positive_k(k)
+    return DualComplex(1 + k, 2, 2 * k * k + 6 * k + 4, 4 * k + 8)
 
 
 def gamma_coefficient(k: Fraction | int) -> DualComplex:

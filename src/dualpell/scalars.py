@@ -166,15 +166,24 @@ class QuadExt:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
+def positive_k(k: Fraction | int) -> Fraction | int:
+    """The parameter k checked exact and positive: an int when integral, else a Fraction.
+
+    Anything else, a float above all, is rejected rather than converted, so an
+    inexact value can never enter through k. The exact type test also turns
+    away bool, which subclasses int.
+    """
+    if type(k) not in (int, Fraction) or k <= 0:
+        raise ValueError(f"k must be a positive int or Fraction, got {k!r}")
+    return k.numerator if k.denominator == 1 else k
+
+
 def make_alpha_beta(k: Fraction | int) -> tuple[QuadExt, QuadExt]:
     """Characteristic roots 1 + sqrt(1+k) and 1 - sqrt(1+k) of x^2 = 2x + k.
 
     Requires k > 0. Their sum is 2 and their product is -k.
     """
-    k = Fraction(k)
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    d = 1 + k
+    d = 1 + positive_k(k)
     return QuadExt(Fraction(1), Fraction(1), d), QuadExt(Fraction(1), Fraction(-1), d)
 
 

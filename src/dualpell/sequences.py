@@ -8,7 +8,10 @@ follow from P_{-j} = -P_j / (-k)^j, which holds because alpha * beta = -k.
 Every term comes from one integer engine. With k = p/q, the cleared terms
 A_j = q^(j-1) P_j are integers: A_lo is reached by fast doubling (from
 P_2n = P_n PL_n) and the rest of a row follows the cleared recurrence, so a
-Fraction is built only for the terms that are returned.
+Fraction is built only for the terms that are returned. For integer k and
+n >= 0 the term is the cleared term itself and is returned as a plain int;
+every other term is a Fraction. The two mix exactly under +, -, * and
+nonnegative powers, so callers need not tell them apart.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .dualcomplex import DualComplex
-from .scalars import make_alpha_beta, rationalize
+from .scalars import make_alpha_beta, positive_k, rationalize
 
 
 class Family(Enum):
@@ -50,12 +53,10 @@ class SequenceSpec:
     """A concrete sequence: the family plus its exact positive parameter k."""
 
     family: Family
-    k: Fraction
+    k: Fraction | int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", Fraction(self.k))
-        if self.k <= 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+        object.__setattr__(self, "k", positive_k(self.k))
 
 
 def _cleared(p: int, q: int, lo: int, count: int):
@@ -71,7 +72,7 @@ def _cleared(p: int, q: int, lo: int, count: int):
 
 
 @functools.cache
-def _pell_row(p: int, q: int, lo: int, count: int) -> tuple[Fraction, ...]:
+def _pell_row(p: int, q: int, lo: int, count: int) -> tuple[Fraction | int, ...]:
     """P_lo ... P_{lo+count-1} for k = p/q, any integer lo."""
     neg = min(max(-lo, 0), count)  # how many of the indices are negative
     terms = []
@@ -84,6 +85,9 @@ def _pell_row(p: int, q: int, lo: int, count: int) -> tuple[Fraction, ...]:
             den *= -p
         terms.reverse()
     start = max(lo, 0)
+    if q == 1:
+        terms.extend(_cleared(p, q, start, count - neg))  # P_j = A_j
+        return tuple(terms)
     den = q**start
     for a in _cleared(p, q, start, count - neg):
         terms.append(Fraction(q * a, den))  # P_j = q A_j / q^j
@@ -91,11 +95,14 @@ def _pell_row(p: int, q: int, lo: int, count: int) -> tuple[Fraction, ...]:
     return tuple(terms)
 
 
-def seq_row(family: Family, k: Fraction | int, lo: int, count: int) -> tuple[Fraction, ...]:
-    """The terms S_lo ... S_{lo+count-1} of the family, exact, any integer lo."""
-    k = Fraction(k)
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+def seq_row(
+    family: Family, k: Fraction | int, lo: int, count: int
+) -> tuple[Fraction | int, ...]:
+    """The terms S_lo ... S_{lo+count-1} of the family, exact, any integer lo.
+
+    A term is an int for integer k and index >= 0, a Fraction otherwise.
+    """
+    k = positive_k(k)
     if family is Family.K_PELL:
         return _pell_row(k.numerator, k.denominator, lo, count)
     row = _pell_row(k.numerator, k.denominator, lo, count + 1)
@@ -103,17 +110,17 @@ def seq_row(family: Family, k: Fraction | int, lo: int, count: int) -> tuple[Fra
     return tuple(scale * (b - a) for a, b in zip(row, row[1:]))
 
 
-def pell_term(k: Fraction | int, n: int) -> Fraction:
+def pell_term(k: Fraction | int, n: int) -> Fraction | int:
     """P_{k,n} for any integer n."""
     return seq_row(Family.K_PELL, k, n, 1)[0]
 
 
-def seq_term(spec: SequenceSpec, n: int) -> Fraction:
+def seq_term(spec: SequenceSpec, n: int) -> Fraction | int:
     """The n-th term of the chosen family, exact, any integer index."""
     return seq_row(spec.family, spec.k, n, 1)[0]
 
 
-def seq_term_fast(spec: SequenceSpec, n: int) -> Fraction:
+def seq_term_fast(spec: SequenceSpec, n: int) -> Fraction | int:
     """seq_term for n >= 0; a negative index is rejected, as in the closed forms."""
     if n < 0:
         raise ValueError("fast evaluation is defined for n >= 0 only")
@@ -132,8 +139,8 @@ def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:
     """Closed form of sum(P_{k,i} for i = 0..n): (-1 + P_{n+1} + k P_n)/(k+1)."""
     if n < 0:
         raise ValueError("prefix sums are defined for n >= 0 only")
-    k = Fraction(k)
-    return (-1 + pell_term(k, n + 1) + k * pell_term(k, n)) / (k + 1)
+    k = positive_k(k)
+    return Fraction(-1 + pell_term(k, n + 1) + k * pell_term(k, n), k + 1)
 
 
 def dc_number(family: Family, k: Fraction | int, n: int) -> DualComplex:

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .dualcomplex import DualComplex
 from .identities import CATALOG, CatalogEntry, IdentityId, identity_sides
+from .scalars import positive_k
 
 _CATALOG_ORDER = {ident: pos for pos, ident in enumerate(CATALOG)}
 
@@ -33,7 +34,7 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class SweepConfig:
     ids: tuple[IdentityId, ...]
-    k_values: tuple[Fraction, ...]
+    k_values: tuple[Fraction | int, ...]
     n_range: tuple[int, int]
     m_range: tuple[int, int]
     r_range: tuple[int, int]
@@ -43,7 +44,7 @@ class SweepConfig:
 def default_config(ids: Iterable[IdentityId] | None = None) -> SweepConfig:
     return SweepConfig(
         ids=tuple(ids) if ids is not None else tuple(CATALOG),
-        k_values=(Fraction(1), Fraction(2), Fraction(3), Fraction(4)),
+        k_values=(1, 2, 3, 4),
         n_range=(0, 32),
         m_range=(0, 32),
         r_range=(1, 8),
@@ -78,7 +79,7 @@ def check_one(
 
 def _normalize(config: SweepConfig) -> SweepConfig:
     ids = tuple(sorted(set(config.ids), key=_CATALOG_ORDER.__getitem__))
-    ks = tuple(sorted({Fraction(k) for k in config.k_values}))
+    ks = tuple(sorted({positive_k(k) for k in config.k_values}))
     return replace(config, ids=ids, k_values=ks)
 
 

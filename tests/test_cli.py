@@ -1,8 +1,10 @@
 """The command-line contract: exit codes, formats, round-trips."""
 
 import json
+import sys
+from contextlib import contextmanager
 
-from dualpell import DualComplex
+from dualpell import DualComplex, pell_term
 from dualpell.cli import main
 
 
@@ -195,3 +197,30 @@ def test_sweep_unwritable_path_exit_two(tmp_path, capsys):
 def test_sweep_unknown_id_exit_two(capsys):
     code, _, _ = run(capsys, "sweep", "--ids", "nope")
     assert code == 2
+
+
+@contextmanager
+def int_str_digits(limit):
+    """Set Python's int->str digit cap (3.10.7+) for the block, then restore it."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    set_limit(limit)
+    try:
+        yield
+    finally:
+        set_limit(previous)
+
+
+def test_quat_prints_values_past_the_int_str_digit_cap(capsys):
+    with int_str_digits(4300):
+        code, out, _ = run(capsys, "quat", "--family", "pell", "--k", "2", "--n", "12000")
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert sys.get_int_max_str_digits() == 4300  # restored for in-process callers
+    assert code == 0
+    with int_str_digits(0):
+        expected = str(pell_term(2, 12000))
+    assert len(expected) > 4300
+    assert json.loads(out)["one"] == expected

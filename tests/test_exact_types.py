@@ -1,0 +1,96 @@
+"""The scalar types on the exact paths: int where k and n allow, never a float.
+
+Integer k at n >= 0 yields plain int terms, everything else Fraction; the two
+mix exactly, so a float can only come from a float k, which every public entry
+rejects.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from dualpell import (
+    CATALOG,
+    Family,
+    SequenceSpec,
+    SweepConfig,
+    dc_number,
+    gamma_closed,
+    identity_sides,
+    make_alpha_beta,
+    pell_term,
+    seq_binet,
+    seq_prefix_sum,
+    seq_row,
+    sweep,
+)
+from dualpell.identities import IdentityId
+
+FLOAT_K_ENTRIES = {
+    "pell_term": lambda k: pell_term(k, 3),
+    "seq_row": lambda k: seq_row(Family.K_PELL, k, 0, 4),
+    "dc_number": lambda k: dc_number(Family.K_PELL_LUCAS, k, 2),
+    "SequenceSpec": lambda k: SequenceSpec(Family.K_PELL, k),
+    "seq_binet": lambda k: seq_binet(k, 3),
+    "make_alpha_beta": make_alpha_beta,
+    "seq_prefix_sum": lambda k: seq_prefix_sum(k, 3),
+    "gamma_closed": gamma_closed,
+    "identity_sides": lambda k: identity_sides(IdentityId.G18, {"k": k, "n": 2}),
+    "sweep": lambda k: sweep(
+        SweepConfig((IdentityId.G9,), (k,), (0, 1), (0, 0), (1, 1))
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_K_ENTRIES))
+def test_float_k_rejected(entry):
+    with pytest.raises(ValueError, match="positive int or Fraction"):
+        FLOAT_K_ENTRIES[entry](0.1)
+
+
+def test_bool_k_rejected():
+    with pytest.raises(ValueError):
+        identity_sides(IdentityId.G9, {"k": True, "n": 1})
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_K_ENTRIES))
+def test_nonpositive_k_rejected(entry):
+    with pytest.raises(ValueError):
+        FLOAT_K_ENTRIES[entry](Fraction(0))
+
+
+def test_term_types_follow_k_and_n():
+    families = tuple(Family)
+    for k in (1, 2, Fraction(3), 4):
+        for family in families:
+            assert all(type(t) is int for t in seq_row(family, k, 0, 12))
+            assert all(type(t) is Fraction for t in seq_row(family, k, -6, 6))
+            assert all(type(c) is int for c in dc_number(family, k, 5).coefficients())
+        assert type(pell_term(k, 9)) is int
+        assert type(pell_term(k, -1)) is Fraction
+    for k in (Fraction(1, 2), Fraction(5, 3)):
+        for family in families:
+            assert all(type(t) is Fraction for t in seq_row(family, k, -3, 12))
+            assert all(type(c) is Fraction for c in dc_number(family, k, 5).coefficients())
+        assert type(pell_term(k, 9)) is Fraction
+
+
+def _grid(params):
+    """n <= 11 for every id, with a few m (some below n) and r values."""
+    axes = {"n": range(12), "m": (0, 4, 11), "r": (1, 3)}
+    return (dict(zip(params, values)) for values in itertools.product(*(axes[p] for p in params)))
+
+
+def test_catalog_sides_hold_no_float():
+    ks = (1, 2, 3, 4, Fraction(1, 2), Fraction(5, 3))
+    for ident, entry in CATALOG.items():
+        for k in ks if entry.uses_k else (None,):
+            for b in _grid(entry.params):
+                if not entry.pre(b):
+                    continue
+                bindings = dict(b, k=k) if entry.uses_k else b
+                for side in identity_sides(ident, bindings):
+                    coefficients = side.coefficients()
+                    assert all(type(c) in (int, Fraction) for c in coefficients), (
+                        ident, bindings, coefficients)
