@@ -49,7 +49,7 @@ def hat_pair(k: Fraction | int) -> tuple[DualComplex, DualComplex]:
     alpha, beta = make_alpha_beta(k)
 
     def hat(root: QuadExt) -> DualComplex:
-        one = QuadExt(Fraction(1), Fraction(0), root.d)
+        one = QuadExt(1, 0, root.d)
         return DualComplex(one, root, root * root, root * root * root)
 
     return hat(alpha), hat(beta)

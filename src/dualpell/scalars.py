@@ -1,14 +1,16 @@
 """Exact scalars: rational text format and the quadratic extension Q(sqrt(d)).
 
 Rationals are stdlib ``fractions.Fraction`` values (always reduced, positive
-denominator, exact equality). ``QuadExt`` adds a single square root so the
-characteristic roots 1 +/- sqrt(1+k) of x^2 = 2x + k can be manipulated
-exactly; when 1+k happens to be a perfect rational square the radical is
-folded away so equality stays coefficient-wise decidable.
+denominator, exact equality). ``QuadExt`` adds a single square root over
+int or Fraction coefficients so the characteristic roots 1 +/- sqrt(1+k) of
+x^2 = 2x + k can be manipulated exactly, in plain int arithmetic for integer
+k; when 1+k happens to be a perfect rational square the radical is folded
+away so equality stays coefficient-wise decidable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -34,14 +36,23 @@ def render_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of x if x is a square of a rational, else None."""
+# The exact scalar types. The test is on the exact type, so a bool, which
+# subclasses int, is turned away as well as a float.
+_EXACT = (int, Fraction)
+
+
+@functools.cache
+def _rational_sqrt(x: Fraction | int) -> Fraction | int | None:
+    """Exact square root of x if x is a square of a rational, else None.
+
+    Decided once per radicand: an int root comes back for an integral square.
+    """
     if x < 0:
         return None
     num = math.isqrt(x.numerator)
     den = math.isqrt(x.denominator)
     if num * num == x.numerator and den * den == x.denominator:
-        return Fraction(num, den)
+        return num if den == 1 else Fraction(num, den)
     return None
 
 
@@ -49,35 +60,36 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
 class QuadExt:
     """Field element a + b*sqrt(d) with rational a, b and fixed radicand d > 0.
 
-    Two elements may be combined only when their radicands agree (plain ints
-    and Fractions are coerced). If d is a perfect rational square the value
-    normalizes to b = 0, so structural equality is mathematical equality in
-    the degenerate case too.
+    Each of a, b and d is an int or a Fraction, kept as given, so integer
+    inputs stay in int arithmetic; anything else, a float or a bool above all,
+    raises ValueError. Two elements may be combined only when their radicands
+    agree (ints and Fractions are coerced). If d is a perfect rational square
+    the value normalizes to b = 0, so structural equality is mathematical
+    equality in the degenerate case too.
     """
 
-    a: Fraction
-    b: Fraction
-    d: Fraction
+    a: Fraction | int
+    b: Fraction | int
+    d: Fraction | int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "d", Fraction(self.d))
+        if not (type(self.a) in _EXACT and type(self.b) in _EXACT and type(self.d) in _EXACT):
+            raise ValueError(f"QuadExt values must be int or Fraction, got {self!r}")
         if self.d <= 0:
             raise ValueError("radicand must be positive")
         if self.b:
             root = _rational_sqrt(self.d)
             if root is not None:
                 object.__setattr__(self, "a", self.a + self.b * root)
-                object.__setattr__(self, "b", Fraction(0))
+                object.__setattr__(self, "b", 0)
 
     def _coerce(self, other: object) -> "QuadExt":
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 raise ValueError("mismatched radicands")
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(Fraction(other), Fraction(0), self.d)
+        if type(other) in _EXACT:
+            return QuadExt(other, 0, self.d)
         raise TypeError(f"cannot combine QuadExt with {type(other).__name__}")
 
     def __add__(self, other: object) -> "QuadExt":
@@ -113,6 +125,8 @@ class QuadExt:
         norm = o.a * o.a - o.b * o.b * self.d
         if norm == 0:
             raise ZeroDivisionError("division by zero quadratic element")
+        if type(norm) is int:
+            norm = Fraction(norm)  # int / int would be a float
         return QuadExt(
             (self.a * o.a - self.b * o.b * self.d) / norm,
             (self.b * o.a - self.a * o.b) / norm,
@@ -124,8 +138,8 @@ class QuadExt:
 
     def __pow__(self, n: int) -> "QuadExt":
         if n < 0:
-            return (QuadExt(Fraction(1), Fraction(0), self.d) / self) ** (-n)
-        result = QuadExt(Fraction(1), Fraction(0), self.d)
+            return (QuadExt(1, 0, self.d) / self) ** (-n)
+        result = QuadExt(1, 0, self.d)
         base = self
         while n:
             if n & 1:
@@ -173,7 +187,7 @@ def positive_k(k: Fraction | int) -> Fraction | int:
     inexact value can never enter through k. The exact type test also turns
     away bool, which subclasses int.
     """
-    if type(k) not in (int, Fraction) or k <= 0:
+    if type(k) not in _EXACT or k <= 0:
         raise ValueError(f"k must be a positive int or Fraction, got {k!r}")
     return k.numerator if k.denominator == 1 else k
 
@@ -184,7 +198,7 @@ def make_alpha_beta(k: Fraction | int) -> tuple[QuadExt, QuadExt]:
     Requires k > 0. Their sum is 2 and their product is -k.
     """
     d = 1 + positive_k(k)
-    return QuadExt(Fraction(1), Fraction(1), d), QuadExt(Fraction(1), Fraction(-1), d)
+    return QuadExt(1, 1, d), QuadExt(1, -1, d)
 
 
 def rationalize(x: QuadExt | Fraction | int) -> Fraction:
@@ -196,4 +210,4 @@ def rationalize(x: QuadExt | Fraction | int) -> Fraction:
         return Fraction(x)
     if x.b != 0:
         raise ValueError(f"not a rational value: {x}")
-    return x.a
+    return Fraction(x.a)

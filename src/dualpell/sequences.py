@@ -71,7 +71,6 @@ def _cleared(p: int, q: int, lo: int, count: int):
         a, b = b, 2 * q * b + p * q * a
 
 
-@functools.cache
 def _pell_row(p: int, q: int, lo: int, count: int) -> tuple[Fraction | int, ...]:
     """P_lo ... P_{lo+count-1} for k = p/q, any integer lo."""
     neg = min(max(-lo, 0), count)  # how many of the indices are negative
@@ -95,6 +94,9 @@ def _pell_row(p: int, q: int, lo: int, count: int) -> tuple[Fraction | int, ...]
     return tuple(terms)
 
 
+# The one memo of the engine. Its key is typed, so a float or bool k that
+# equals a cached int k still misses and is rejected by positive_k.
+@functools.lru_cache(maxsize=None, typed=True)
 def seq_row(
     family: Family, k: Fraction | int, lo: int, count: int
 ) -> tuple[Fraction | int, ...]:

@@ -13,10 +13,13 @@ import pytest
 from dualpell import (
     CATALOG,
     Family,
+    QuadExt,
     SequenceSpec,
     SweepConfig,
+    binet_quaternion,
     dc_number,
     gamma_closed,
+    hat_pair,
     identity_sides,
     make_alpha_beta,
     pell_term,
@@ -94,3 +97,57 @@ def test_catalog_sides_hold_no_float():
                     coefficients = side.coefficients()
                     assert all(type(c) in (int, Fraction) for c in coefficients), (
                         ident, bindings, coefficients)
+
+
+def test_typed_row_memo_rejects_float_and_bool_k_that_equal_a_cached_k():
+    # An untyped memo would hand these the rows cached for k = 1 and k = 2.
+    seq_row(Family.K_PELL, 1, 0, 4)
+    seq_row(Family.K_PELL, 2, 0, 4)
+    for k in (1.0, 2.0, True):
+        with pytest.raises(ValueError, match="positive int or Fraction"):
+            seq_row(Family.K_PELL, k, 0, 4)
+
+
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("bad", [0.1, True, 2.0])
+def test_quadext_rejects_inexact_coefficient(field, bad):
+    values = [Fraction(1, 3), 1, 2]
+    values[field] = bad
+    with pytest.raises(ValueError, match="int or Fraction"):
+        QuadExt(*values)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda x, y: x + y,
+        lambda x, y: y + x,
+        lambda x, y: x * y,
+        lambda x, y: y * x,
+        lambda x, y: x / y,
+        lambda x, y: y / x,
+    ],
+    ids=["add", "radd", "mul", "rmul", "div", "rdiv"],
+)
+@pytest.mark.parametrize("bad", [0.5, 2.0, True])
+def test_quadext_rejects_inexact_operand(op, bad):
+    with pytest.raises(TypeError):
+        op(QuadExt(1, 1, 2), bad)
+
+
+def test_integer_k_closed_forms_stay_int():
+    for k in (1, 2, 3, 4, 8):
+        alpha, beta = make_alpha_beta(k)
+        for n in range(12):
+            for c in (alpha**n, beta**n):
+                assert (type(c.a), type(c.b), type(c.d)) == (int, int, int), (k, n, c)
+        for hat in hat_pair(k):
+            for c in hat.coefficients():
+                assert (type(c.a), type(c.b), type(c.d)) == (int, int, int), (k, c)
+
+
+def test_closed_forms_return_fractions_never_floats():
+    for k in (1, 2, 3, 8, Fraction(1, 2), Fraction(5, 4)):
+        for n in range(8):
+            assert type(seq_binet(k, n)) is Fraction
+            assert all(type(c) is Fraction for c in binet_quaternion(k, n).coefficients())
