@@ -17,7 +17,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Any
 
-from .scalars import parse_rational
+from .scalars import QuadExt, parse_rational
+
+_SCALARS = (int, Fraction, QuadExt)
 
 
 class NonInvertibleError(ZeroDivisionError):
@@ -98,6 +100,9 @@ class DualComplex:
         return DualComplex(-self.real, -self.imag, -self.dual, -self.dual_imag)
 
     def scale(self, s: Any) -> "DualComplex":
+        """s * w for an int, Fraction or QuadExt s; a float or bool raises TypeError."""
+        if type(s) not in _SCALARS:
+            raise TypeError(f"cannot scale a DualComplex by {type(s).__name__}")
         return DualComplex(
             s * self.real, s * self.imag, s * self.dual, s * self.dual_imag
         )

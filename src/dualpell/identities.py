@@ -4,11 +4,14 @@ Every entry computes its left side from raw sequence and ring operations and
 its right side from the closed form, through structurally independent code,
 so an exact mismatch points at the identity itself rather than at a shared
 bug. Scalar identities are embedded as dual-complex values with zero i, eps
-and i*eps slots so a single report format covers the whole catalog.
+and i*eps slots so a single report format covers the whole catalog. Each
+entry's ``sides(t, b)`` reads its terms from ``t = terms(k)`` and its integer
+bindings n, m, r from the dict ``b``.
 
 Two entries (ring_axioms, div_roundtrip) are sample-based rather than
-grid-based: the integer binding n selects a deterministic pseudo-random
-sample, so a reported counterexample can always be replayed exactly.
+grid-based: they take no k (``t`` is None) and the integer binding n selects
+a deterministic pseudo-random sample, so a reported counterexample can
+always be replayed exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, Mapping
 from .dualcomplex import DC_EPS, DC_I, DC_IEPS, Conjugation, DualComplex
 from .quaternions import binet_quaternion, gamma_closed
 from .scalars import positive_k
-from .sequences import Family, dc_number, pell_term, seq_binet, seq_prefix_sum, seq_row
+from .sequences import Family, Terms, seq_binet, seq_prefix_sum, seq_row, terms
 
 
 class IdentityId(Enum):
@@ -76,7 +79,7 @@ class IdentityId(Enum):
 
 
 Bindings = Mapping[str, object]
-Sides = Callable[[Fraction | int, dict], tuple[DualComplex, DualComplex]]
+Sides = Callable[[Terms | None, dict], tuple[DualComplex, DualComplex]]
 
 
 @dataclass(frozen=True)
@@ -91,278 +94,255 @@ def _sign(n: int) -> int:
     return 1 if n % 2 == 0 else -1
 
 
-def _embed(x: Fraction | int) -> DualComplex:
-    return DualComplex(x, 0, 0, 0)
-
-
-def _complex(re: Fraction | int, im: Fraction | int) -> DualComplex:
-    return DualComplex(re, im, 0, 0)
-
-
 def _dc(one, i=0, eps=0, ieps=0) -> DualComplex:
     return DualComplex(one, i, eps, ieps)
 
 
-def _q(k: Fraction | int, n: int) -> DualComplex:
-    return dc_number(Family.K_PELL, k, n)
-
-
 def _nonneg(b: dict) -> bool:
-    return all(b[name] >= 0 for name in b if name != "k")
+    return all(value >= 0 for value in b.values())
 
 
 # --- conjugation products of the k-Pell dual-complex number (F12-F25) ------
 
 def _product_entry(kind: Conjugation, rhs) -> Sides:
-    def sides(k, b):
+    def sides(t, b):
         n = b["n"]
-        w = _q(k, n)
-        return w.norm_product(kind), rhs(k, n)
+        return t.q(n).norm_product(kind), rhs(t, n)
 
     return sides
 
 
-def _rhs_f12_raw(k, n):
-    p = lambda j: pell_term(k, j)
-    cross = p(n) * p(n + 2) + p(n + 1) * p(n + 3)
-    return _dc(p(n) ** 2 + p(n + 1) ** 2, 0, 2 * cross, 0)
+def _rhs_f12_raw(t, n):
+    cross = t.p(n) * t.p(n + 2) + t.p(n + 1) * t.p(n + 3)
+    return _dc(t.p(n) ** 2 + t.p(n + 1) ** 2, 0, 2 * cross, 0)
 
 
-def _rhs_f12_simplified(k, n):
-    p = lambda j: pell_term(k, j)
-    return _dc(p(n) ** 2 + p(n + 1) ** 2, 0, 2 * p(2 * n + 3), 0)
+def _rhs_f12_simplified(t, n):
+    return _dc(t.p(n) ** 2 + t.p(n + 1) ** 2, 0, 2 * t.p(2 * n + 3), 0)
 
 
-def _rhs_f13(k, n):
-    p = lambda j: pell_term(k, j)
-    return _dc(p(n) ** 2 - p(n + 1) ** 2, 2 * p(n) * p(n + 1), 0, 0)
+def _rhs_f13(t, n):
+    return _dc(t.p(n) ** 2 - t.p(n + 1) ** 2, 2 * t.p(n) * t.p(n + 1), 0, 0)
 
 
-def _rhs_f14_closed(k, n):
-    p = lambda j: pell_term(k, j)
-    return _dc(p(n) ** 2 + p(n + 1) ** 2, 0, 0, -4 * _sign(n) * k**n)
+def _rhs_f14_closed(t, n):
+    return _dc(t.p(n) ** 2 + t.p(n + 1) ** 2, 0, 0, -4 * _sign(n) * t.k**n)
 
 
-def _rhs_f24_raw(k, n):
-    p = lambda j: pell_term(k, j)
-    cross = p(n) * p(n + 3) - p(n + 1) * p(n + 2)
-    return _dc(p(n) ** 2 + p(n + 1) ** 2, 0, 0, 2 * cross)
+def _rhs_f24_raw(t, n):
+    cross = t.p(n) * t.p(n + 3) - t.p(n + 1) * t.p(n + 2)
+    return _dc(t.p(n) ** 2 + t.p(n + 1) ** 2, 0, 0, 2 * cross)
 
 
-def _rhs_pure_scalar(k, n):
-    p = lambda j: pell_term(k, j)
-    return _embed(p(n) ** 2 + p(n + 1) ** 2)
+def _rhs_pure_scalar(t, n):
+    return _dc(t.p(n) ** 2 + t.p(n + 1) ** 2)
 
 
 # --- conjugation sums and mixed relations (F16-F21) -------------------------
 
 def _sum_entry(kind: Conjugation, rhs) -> Sides:
-    def sides(k, b):
+    def sides(t, b):
         n = b["n"]
-        w = _q(k, n)
-        return w + w.conjugate(kind), rhs(k, n)
+        w = t.q(n)
+        return w + w.conjugate(kind), rhs(t, n)
 
     return sides
 
 
-def _sides_f19(k, b):
+def _rhs_f16(t, n):
+    return _dc(2 * t.p(n), 0, 2 * t.p(n + 2), 0)
+
+
+def _rhs_f17(t, n):
+    return _dc(2 * t.p(n), 2 * t.p(n + 1), 0, 0)
+
+
+def _rhs_f18(t, n):
+    return _dc(2 * t.p(n), 0, 0, 2 * t.p(n + 3))
+
+
+def _sides_f19(t, b):
     n = b["n"]
-    p = lambda j: pell_term(k, j)
-    w = _q(k, n)
-    lhs = _complex(p(n), p(n + 1)) * w.conjugate(Conjugation.DUAL_COMPLEX)
-    rhs = _complex(p(n), -p(n + 1)) * w.conjugate(Conjugation.DUAL)
+    w = t.q(n)
+    lhs = _dc(t.p(n), t.p(n + 1)) * w.conjugate(Conjugation.DUAL_COMPLEX)
+    rhs = _dc(t.p(n), -t.p(n + 1)) * w.conjugate(Conjugation.DUAL)
     return lhs, rhs
 
 
-def _sides_f20(k, b):
+def _sides_f20(t, b):
     n = b["n"]
-    p = lambda j: pell_term(k, j)
-    w = _q(k, n)
-    return DC_EPS * w + w.conjugate(Conjugation.ANTI_DUAL), _complex(p(n + 2), p(n + 3))
+    w = t.q(n)
+    return DC_EPS * w + w.conjugate(Conjugation.ANTI_DUAL), _dc(t.p(n + 2), t.p(n + 3))
 
 
-def _sides_f21(k, b):
+def _sides_f21(t, b):
     n = b["n"]
-    p = lambda j: pell_term(k, j)
-    w = _q(k, n)
-    return w - DC_EPS * w.conjugate(Conjugation.ANTI_DUAL), _complex(p(n), p(n + 1))
+    w = t.q(n)
+    return w - DC_EPS * w.conjugate(Conjugation.ANTI_DUAL), _dc(t.p(n), t.p(n + 1))
 
 
 # --- number-level family relations (F26-F31) --------------------------------
 
-def _sides_f26(k, b):
+def _sides_f26(t, b):
     n = b["n"]
-    d = lambda j: dc_number(Family.K_PELL, k, j)
-    return d(n + 2), d(n + 1).scale(2) + d(n).scale(k)
+    return t.q(n + 2), t.q(n + 1).scale(2) + t.q(n).scale(t.k)
 
 
-def _sides_f27(k, b):
+def _sides_f27(t, b):
     n = b["n"]
-    d = lambda j: dc_number(Family.K_PELL_LUCAS, k, j)
-    return d(n + 2), d(n + 1).scale(2) + d(n).scale(k)
+    pl = Family.K_PELL_LUCAS
+    return t.d(pl, n + 2), t.d(pl, n + 1).scale(2) + t.d(pl, n).scale(t.k)
 
 
-def _sides_f28(k, b):
+def _sides_f28(t, b):
     n = b["n"]
-    d = lambda j: dc_number(Family.K_PELL, k, j)
-    return dc_number(Family.MODIFIED_K_PELL, k, n), d(n) + d(n - 1).scale(k)
+    return t.d(Family.MODIFIED_K_PELL, n), t.q(n) + t.q(n - 1).scale(t.k)
 
 
-def _sides_f29(k, b):
+def _sides_f29(t, b):
     n = b["n"]
-    d = lambda j: dc_number(Family.K_PELL, k, j)
-    return dc_number(Family.MODIFIED_K_PELL, k, n), d(n + 1) - d(n)
+    return t.d(Family.MODIFIED_K_PELL, n), t.q(n + 1) - t.q(n)
 
 
-def _sides_f30(k, b):
+def _sides_f30(t, b):
     n = b["n"]
-    d = lambda j: dc_number(Family.K_PELL, k, j)
-    return dc_number(Family.K_PELL_LUCAS, k, n), (d(n + 1) - d(n)).scale(2)
+    return t.d(Family.K_PELL_LUCAS, n), (t.q(n + 1) - t.q(n)).scale(2)
 
 
-def _sides_f31(k, b):
+def _sides_f31(t, b):
     n = b["n"]
-    d = lambda j: dc_number(Family.K_PELL, k, j)
-    return dc_number(Family.K_PELL_LUCAS, k, n + 1), (d(n + 1) + d(n)).scale(2)
+    return t.d(Family.K_PELL_LUCAS, n + 1), (t.q(n + 1) + t.q(n)).scale(2)
 
 
 # --- quaternion identities (G9-G19) ------------------------------------------
 
-def _sides_g9(k, b):
+def _sides_g9(t, b):
     n = b["n"]
-    return _q(k, n + 2), _q(k, n + 1).scale(2) + _q(k, n).scale(k)
+    return t.q(n + 2), t.q(n + 1).scale(2) + t.q(n).scale(t.k)
 
 
-def _sides_g10(k, b):
+def _sides_g10(t, b):
     n = b["n"]
-    p = lambda j: pell_term(k, j)
-    q1, q0 = _q(k, n + 1), _q(k, n)
-    lhs = q1 * q1 + (q0 * q0).scale(k)
+    q1, q0 = t.q(n + 1), t.q(n)
+    lhs = q1 * q1 + (q0 * q0).scale(t.k)
     tail = _dc(
-        -p(2 * n + 3),
-        p(2 * n + 2),
-        p(2 * n + 3) - 2 * p(2 * n + 5),
-        3 * p(2 * n + 4),
+        -t.p(2 * n + 3),
+        t.p(2 * n + 2),
+        t.p(2 * n + 3) - 2 * t.p(2 * n + 5),
+        3 * t.p(2 * n + 4),
     )
-    return lhs, _q(k, 2 * n + 1) + tail
+    return lhs, t.q(2 * n + 1) + tail
 
 
-def _sides_g11(k, b):
+def _sides_g11(t, b):
     n = b["n"]
-    p = lambda j: pell_term(k, j)
-    hi, lo = _q(k, n + 1), _q(k, n - 1)
-    lhs = hi * hi - (lo * lo).scale(k * k)
+    hi, lo = t.q(n + 1), t.q(n - 1)
+    lhs = hi * hi - (lo * lo).scale(t.k * t.k)
     # Q_{n+1} - kQ_{n-1} = 2Q_n and the ring commutes, so the left side is
     # 2(kQ_{n-1}Q_n + Q_nQ_{n+1}): twice g13 at m = n, whose tail gives this one.
     tail = _dc(
-        p(2 * n + 2),
-        -p(2 * n + 1),
-        2 * p(2 * n + 4) - p(2 * n + 2),
-        -3 * p(2 * n + 3),
+        t.p(2 * n + 2),
+        -t.p(2 * n + 1),
+        2 * t.p(2 * n + 4) - t.p(2 * n + 2),
+        -3 * t.p(2 * n + 3),
     )
-    return lhs, _q(k, 2 * n).scale(2) - tail.scale(2)
+    return lhs, t.q(2 * n).scale(2) - tail.scale(2)
 
 
-def _sides_g12(k, b):
+def _sides_g12(t, b):
     n = b["n"]
-    p = lambda j: pell_term(k, j)
     lhs = (
-        _q(k, n)
-        - DC_I * _q(k, n + 1).conjugate(Conjugation.COUPLED)
-        - DC_EPS * _q(k, n + 2)
-        - DC_IEPS * _q(k, n + 3)
+        t.q(n)
+        - DC_I * t.q(n + 1).conjugate(Conjugation.COUPLED)
+        - DC_EPS * t.q(n + 2)
+        - DC_IEPS * t.q(n + 3)
     )
-    return lhs, _dc(p(n) - p(n + 2), 0, 2 * p(n + 4), 0)
+    return lhs, _dc(t.p(n) - t.p(n + 2), 0, 2 * t.p(n + 4), 0)
 
 
-def _sides_g13(k, b):
+def _sides_g13(t, b):
     n, m = b["n"], b["m"]
-    p = lambda j: pell_term(k, j)
     s = n + m
-    lhs = (_q(k, n - 1) * _q(k, m)).scale(k) + _q(k, n) * _q(k, m + 1)
-    tail = _dc(-p(s + 2), p(s + 1), p(s + 2) - 2 * p(s + 4), 3 * p(s + 3))
-    return lhs, _q(k, s) + tail
+    lhs = (t.q(n - 1) * t.q(m)).scale(t.k) + t.q(n) * t.q(m + 1)
+    tail = _dc(-t.p(s + 2), t.p(s + 1), t.p(s + 2) - 2 * t.p(s + 4), 3 * t.p(s + 3))
+    return lhs, t.q(s) + tail
 
 
-def _sides_g14(k, b):
+def _sides_g14(t, b):
     n = b["n"]
-    row = seq_row(Family.K_PELL, k, 0, n + 4)
+    row = seq_row(Family.K_PELL, t.k, 0, n + 4)
     total = sum((DualComplex(*row[s : s + 4]) for s in range(n + 1)), _dc(0))
-    closed = _q(k, n + 1) + _q(k, n).scale(k) - _q(k, 1) + _q(k, 0)
-    return total, closed.scale(Fraction(1, k + 1))
+    closed = t.q(n + 1) + t.q(n).scale(t.k) - t.q(1) + t.q(0)
+    return total, closed.scale(Fraction(1, t.k + 1))
 
 
-def _sides_g17(k, b):
+def _sides_g17(t, b):
     n, m = b["n"], b["m"]
-    lhs = _q(k, m) * _q(k, n + 1) - _q(k, m + 1) * _q(k, n)
-    factor = _sign(n) * k**n * pell_term(k, m - n)
-    return lhs, gamma_closed(k).scale(factor)
+    lhs = t.q(m) * t.q(n + 1) - t.q(m + 1) * t.q(n)
+    factor = _sign(n) * t.k**n * t.p(m - n)
+    return lhs, gamma_closed(t.k).scale(factor)
 
 
-def _sides_g18(k, b):
+def _sides_g18(t, b):
     n = b["n"]
-    lhs = _q(k, n - 1) * _q(k, n + 1) - _q(k, n) * _q(k, n)
-    return lhs, gamma_closed(k).scale(_sign(n) * k ** (n - 1))
+    lhs = t.q(n - 1) * t.q(n + 1) - t.q(n) * t.q(n)
+    return lhs, gamma_closed(t.k).scale(_sign(n) * t.k ** (n - 1))
 
 
-def _sides_g19_stated(k, b):
+def _sides_g19_stated(t, b):
     n, r = b["n"], b["r"]
-    lhs = _q(k, n) * _q(k, n) - _q(k, n + r) * _q(k, n - r)
-    factor = (-k) ** (n - r + 1) * pell_term(k, r) ** 2
-    return lhs, gamma_closed(k).scale(factor)
+    lhs = t.q(n) * t.q(n) - t.q(n + r) * t.q(n - r)
+    factor = (-t.k) ** (n - r + 1) * t.p(r) ** 2
+    return lhs, gamma_closed(t.k).scale(factor)
 
 
-def _sides_g19_proof(k, b):
+def _sides_g19_proof(t, b):
     n, r = b["n"], b["r"]
-    lhs = _q(k, n - r) * _q(k, n + r) - _q(k, n) * _q(k, n)
-    factor = _sign(n - r + 1) * k ** (n - r) * pell_term(k, r) ** 2
-    return lhs, gamma_closed(k).scale(factor)
+    lhs = t.q(n - r) * t.q(n + r) - t.q(n) * t.q(n)
+    factor = _sign(n - r + 1) * t.k ** (n - r) * t.p(r) ** 2
+    return lhs, gamma_closed(t.k).scale(factor)
 
 
 # --- scalar helper identities from the quaternion proofs ---------------------
 
-def _sides_helper_honsberger(k, b):
+def _sides_helper_honsberger(t, b):
     n, m = b["n"], b["m"]
-    p = lambda j: pell_term(k, j)
-    return _embed(k * p(n - 1) * p(m) + p(n) * p(m + 1)), _embed(p(n + m))
+    return _dc(t.k * t.p(n - 1) * t.p(m) + t.p(n) * t.p(m + 1)), _dc(t.p(n + m))
 
 
-def _sides_helper_docagne(k, b):
+def _sides_helper_docagne(t, b):
     n, m = b["n"], b["m"]
-    p = lambda j: pell_term(k, j)
-    lhs = _embed(p(m) * p(n + 1) - p(m + 1) * p(n))
-    return lhs, _embed(_sign(n) * k**n * pell_term(k, m - n))
+    lhs = _dc(t.p(m) * t.p(n + 1) - t.p(m + 1) * t.p(n))
+    return lhs, _dc(_sign(n) * t.k**n * t.p(m - n))
 
 
-def _sides_helper_cassini(k, b):
+def _sides_helper_cassini(t, b):
     n = b["n"]
-    p = lambda j: pell_term(k, j)
-    return _embed(p(n - 1) * p(n + 1) - p(n) ** 2), _embed(_sign(n) * k ** (n - 1))
+    return _dc(t.p(n - 1) * t.p(n + 1) - t.p(n) ** 2), _dc(_sign(n) * t.k ** (n - 1))
 
 
-def _sides_f14_kernel(k, b):
+def _sides_f14_kernel(t, b):
     n = b["n"]
-    p = lambda j: pell_term(k, j)
-    lhs = _embed(p(n) * p(n + 3) - p(n + 1) * p(n + 2))
-    return lhs, _embed(-2 * _sign(n) * k**n)
+    lhs = _dc(t.p(n) * t.p(n + 3) - t.p(n + 1) * t.p(n + 2))
+    return lhs, _dc(-2 * _sign(n) * t.k**n)
 
 
 # --- consistency checks between independent evaluation routes ----------------
 
-def _sides_binet_number(k, b):
+def _sides_binet_number(t, b):
     n = b["n"]
-    return _embed(seq_binet(k, n)), _embed(pell_term(k, n))
+    return _dc(seq_binet(t.k, n)), _dc(t.p(n))
 
 
-def _sides_binet_quaternion(k, b):
+def _sides_binet_quaternion(t, b):
     n = b["n"]
-    return binet_quaternion(k, n), _q(k, n)
+    return binet_quaternion(t.k, n), t.q(n)
 
 
-def _sides_prefix_sum(k, b):
+def _sides_prefix_sum(t, b):
     n = b["n"]
-    literal = sum(seq_row(Family.K_PELL, k, 0, n + 1))
-    return _embed(seq_prefix_sum(k, n)), _embed(literal)
+    literal = sum(seq_row(Family.K_PELL, t.k, 0, n + 1))
+    return _dc(seq_prefix_sum(t.k, n)), _dc(literal)
 
 
 # --- sample-based ring properties --------------------------------------------
@@ -380,7 +360,7 @@ def _random_dc(rng: random.Random) -> DualComplex:
     return DualComplex(*(_random_rational(rng) for _ in range(4)))
 
 
-def _sides_ring_axioms(_k, b):
+def _sides_ring_axioms(_t, b):
     rng = _sample_rng("ring", b["n"])
     x, y, z = _random_dc(rng), _random_dc(rng), _random_dc(rng)
     one = _dc(1)
@@ -396,7 +376,7 @@ def _sides_ring_axioms(_k, b):
     return checks[0]
 
 
-def _sides_div_roundtrip(_k, b):
+def _sides_div_roundtrip(_t, b):
     rng = _sample_rng("div", b["n"])
     numerator = _random_dc(rng)
     divisor = _random_dc(rng)
@@ -435,31 +415,13 @@ CATALOG: dict[IdentityId, CatalogEntry] = {
     ),
     IdentityId.F15: _F15,
     IdentityId.F16: CatalogEntry(
-        ("n",),
-        True,
-        _nonneg,
-        _sum_entry(
-            Conjugation.COMPLEX,
-            lambda k, n: _dc(2 * pell_term(k, n), 0, 2 * pell_term(k, n + 2), 0),
-        ),
+        ("n",), True, _nonneg, _sum_entry(Conjugation.COMPLEX, _rhs_f16)
     ),
     IdentityId.F17: CatalogEntry(
-        ("n",),
-        True,
-        _nonneg,
-        _sum_entry(
-            Conjugation.DUAL,
-            lambda k, n: _dc(2 * pell_term(k, n), 2 * pell_term(k, n + 1), 0, 0),
-        ),
+        ("n",), True, _nonneg, _sum_entry(Conjugation.DUAL, _rhs_f17)
     ),
     IdentityId.F18: CatalogEntry(
-        ("n",),
-        True,
-        _nonneg,
-        _sum_entry(
-            Conjugation.COUPLED,
-            lambda k, n: _dc(2 * pell_term(k, n), 0, 0, 2 * pell_term(k, n + 3)),
-        ),
+        ("n",), True, _nonneg, _sum_entry(Conjugation.COUPLED, _rhs_f18)
     ),
     IdentityId.F19: CatalogEntry(("n",), True, _nonneg, _sides_f19),
     IdentityId.F20: CatalogEntry(("n",), True, _nonneg, _sides_f20),
@@ -527,9 +489,9 @@ def identity_sides(
             f"missing {missing or 'none'}, unexpected {extra or 'none'}"
         )
     ints = {name: bindings[name] for name in entry.params}
-    if not all(isinstance(value, int) for value in ints.values()):
+    if not all(type(value) is int for value in ints.values()):
         raise ValueError(f"n, m and r must be int for {ident.value}: {dict(bindings)}")
-    k = positive_k(bindings["k"]) if entry.uses_k else 1  # type: ignore[arg-type]
+    t = terms(positive_k(bindings["k"])) if entry.uses_k else None  # type: ignore[arg-type]
     if not entry.pre(ints):
         raise ValueError(f"bindings out of range for {ident.value}: {dict(bindings)}")
-    return entry.sides(k, ints)
+    return entry.sides(t, ints)

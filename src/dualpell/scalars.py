@@ -204,10 +204,13 @@ def make_alpha_beta(k: Fraction | int) -> tuple[QuadExt, QuadExt]:
 def rationalize(x: QuadExt | Fraction | int) -> Fraction:
     """Collapse a radical-free value to a plain Fraction.
 
-    Raises ValueError when the radical coefficient is nonzero.
+    Raises ValueError when the radical coefficient is nonzero, and TypeError
+    for anything but an int, a Fraction or a QuadExt (a bool or float above all).
     """
-    if isinstance(x, (int, Fraction)):
+    if type(x) in _EXACT:
         return Fraction(x)
+    if type(x) is not QuadExt:
+        raise TypeError(f"cannot rationalize {type(x).__name__}")
     if x.b != 0:
         raise ValueError(f"not a rational value: {x}")
     return Fraction(x.a)

@@ -94,9 +94,6 @@ def _pell_row(p: int, q: int, lo: int, count: int) -> tuple[Fraction | int, ...]
     return tuple(terms)
 
 
-# The one memo of the engine. Its key is typed, so a float or bool k that
-# equals a cached int k still misses and is rejected by positive_k.
-@functools.lru_cache(maxsize=None, typed=True)
 def seq_row(
     family: Family, k: Fraction | int, lo: int, count: int
 ) -> tuple[Fraction | int, ...]:
@@ -112,9 +109,49 @@ def seq_row(
     return tuple(scale * (b - a) for a, b in zip(row, row[1:]))
 
 
+class _ByIndex(dict):
+    """Values by integer index, each built once by ``build`` on its first read."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __missing__(self, j: int):
+        value = self[j] = self.build(j)
+        return value
+
+
+class Terms:
+    """The sequence terms at one k, read by index.
+
+    p(j) is P_j and q(j) the k-Pell dual-complex number at j, each built once
+    per j; d(family, j) is that number for any family.
+    """
+
+    __slots__ = ("k", "p", "q")
+
+    def __init__(self, k: Fraction | int) -> None:
+        self.k = k
+        row = functools.partial(_pell_row, k.numerator, k.denominator)
+        self.p = _ByIndex(lambda j: row(j, 1)[0]).__getitem__
+        self.q = _ByIndex(lambda j: DualComplex(*row(j, 4))).__getitem__
+
+    def d(self, family: Family, j: int) -> DualComplex:
+        if family is Family.K_PELL:
+            return self.q(j)
+        return DualComplex(*seq_row(family, self.k, j, 4))
+
+
+# The one memo of the engine. Its key is typed, so a float or bool k that
+# equals a cached int k still misses and is rejected by positive_k.
+@functools.lru_cache(maxsize=None, typed=True)
+def terms(k: Fraction | int) -> Terms:
+    """The term view of one positive int or Fraction k."""
+    return Terms(positive_k(k))
+
+
 def pell_term(k: Fraction | int, n: int) -> Fraction | int:
     """P_{k,n} for any integer n."""
-    return seq_row(Family.K_PELL, k, n, 1)[0]
+    return terms(k).p(n)
 
 
 def seq_term(spec: SequenceSpec, n: int) -> Fraction | int:
@@ -141,10 +178,10 @@ def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:
     """Closed form of sum(P_{k,i} for i = 0..n): (-1 + P_{n+1} + k P_n)/(k+1)."""
     if n < 0:
         raise ValueError("prefix sums are defined for n >= 0 only")
-    k = positive_k(k)
-    return Fraction(-1 + pell_term(k, n + 1) + k * pell_term(k, n), k + 1)
+    t = terms(k)
+    return Fraction(-1 + t.p(n + 1) + t.k * t.p(n), t.k + 1)
 
 
 def dc_number(family: Family, k: Fraction | int, n: int) -> DualComplex:
     """Dual-complex number S_n + i S_{n+1} + eps S_{n+2} + i eps S_{n+3}."""
-    return DualComplex(*seq_row(family, k, n, 4))
+    return terms(k).d(family, n)

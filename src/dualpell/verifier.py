@@ -16,11 +16,12 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .dualcomplex import DualComplex
-from .identities import CATALOG, CatalogEntry, IdentityId, identity_sides
+from .identities import CATALOG, IdentityId, identity_sides
 from .scalars import positive_k
+from .sequences import terms
 
 _CATALOG_ORDER = {ident: pos for pos, ident in enumerate(CATALOG)}
 
@@ -83,21 +84,6 @@ def _normalize(config: SweepConfig) -> SweepConfig:
     return replace(config, ids=ids, k_values=ks)
 
 
-def _span(rng: tuple[int, int]) -> range:
-    return range(rng[0], rng[1] + 1)
-
-
-def _tuples(entry: CatalogEntry, config: SweepConfig) -> Iterator[dict]:
-    axes = {"n": config.n_range, "m": config.m_range, "r": config.r_range}
-    ks: Sequence = config.k_values if entry.uses_k else (None,)
-    for k in ks:
-        for values in itertools.product(*(_span(axes[p]) for p in entry.params)):
-            b = dict(zip(entry.params, values))
-            if entry.uses_k:
-                b["k"] = k
-            yield b
-
-
 def sweep(config: SweepConfig) -> list[IdentityReport]:
     """Run every requested identity over its grid and report verdicts.
 
@@ -106,6 +92,8 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
     cannot abort the sweep.
     """
     config = _normalize(config)
+    ranges = {"n": config.n_range, "m": config.m_range, "r": config.r_range}
+    axes = {name: range(lo, hi + 1) for name, (lo, hi) in ranges.items()}
     reports = []
     for ident in config.ids:
         entry = CATALOG[ident]
@@ -116,29 +104,31 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
         k1_failed = False
         failures = 0
         counterexamples: list[Counterexample] = []
-        for bindings in _tuples(entry, config):
-            ints = {p: bindings[p] for p in entry.params}
-            if not entry.pre(ints):
-                skipped += 1
-                continue
-            grid_size += 1
-            is_k1 = entry.uses_k and bindings["k"] == 1
-            k1_seen = k1_seen or is_k1
-            try:
-                lhs, rhs = entry.sides(bindings.get("k"), ints)
-                equal = lhs == rhs
-                error = None
-            except Exception as exc:  # recorded, never thrown mid-sweep
-                lhs = rhs = None
-                equal = False
-                error = f"{type(exc).__name__}: {exc}"
-            if equal:
-                continue
-            failures += 1
-            k1_failed = k1_failed or is_k1
-            if len(counterexamples) < config.max_counterexamples:
-                shown = {key: bindings[key] for key in ("k", "n", "m", "r") if key in bindings}
-                counterexamples.append(Counterexample(shown, lhs, rhs, error))
+        for k in config.k_values if entry.uses_k else (None,):
+            t = terms(k) if entry.uses_k else None
+            is_k1 = k == 1
+            for values in itertools.product(*(axes[p] for p in entry.params)):
+                ints = dict(zip(entry.params, values))
+                if not entry.pre(ints):
+                    skipped += 1
+                    continue
+                grid_size += 1
+                k1_seen = k1_seen or is_k1
+                try:
+                    lhs, rhs = entry.sides(t, ints)
+                    equal = lhs == rhs
+                    error = None
+                except Exception as exc:  # recorded, never thrown mid-sweep
+                    lhs = rhs = None
+                    equal = False
+                    error = f"{type(exc).__name__}: {exc}"
+                if equal:
+                    continue
+                failures += 1
+                k1_failed = k1_failed or is_k1
+                if len(counterexamples) < config.max_counterexamples:
+                    shown = {"k": k, **ints} if entry.uses_k else ints
+                    counterexamples.append(Counterexample(shown, lhs, rhs, error))
         if failures == 0:
             verdict = Verdict.HOLDS
         elif k1_seen and not k1_failed:

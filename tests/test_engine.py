@@ -10,7 +10,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpell import Family, SequenceSpec, pell_term, seq_binet, seq_row, seq_term
+from dualpell import (
+    DualComplex,
+    Family,
+    SequenceSpec,
+    pell_term,
+    seq_binet,
+    seq_row,
+    seq_term,
+    terms,
+)
 from support import naive_pell_row
 
 SEEDED = settings(derandomize=True, database=None, deadline=None)
@@ -61,3 +70,13 @@ def test_family_rows_follow_the_recurrence(family, k, lo, count):
     row = seq_row(family, k, lo, count)
     assert all(c == 2 * b + k * a for a, b, c in zip(row, row[1:], row[2:]))
     assert row[0] == seq_term(SequenceSpec(family, k), lo)
+
+
+@SEEDED
+@given(ks, los, st.sampled_from(list(Family)))
+def test_term_view_reads_the_rows(k, j, family):
+    t = terms(k)
+    assert t.k == k
+    assert t.p(j) == seq_row(Family.K_PELL, k, j, 1)[0]
+    assert t.q(j) == DualComplex(*seq_row(Family.K_PELL, k, j, 4))
+    assert t.d(family, j) == DualComplex(*seq_row(family, k, j, 4))

@@ -12,6 +12,7 @@ import pytest
 
 from dualpell import (
     CATALOG,
+    DualComplex,
     Family,
     QuadExt,
     SequenceSpec,
@@ -23,6 +24,7 @@ from dualpell import (
     identity_sides,
     make_alpha_beta,
     pell_term,
+    rationalize,
     seq_binet,
     seq_prefix_sum,
     seq_row,
@@ -100,12 +102,23 @@ def test_catalog_sides_hold_no_float():
 
 
 def test_typed_row_memo_rejects_float_and_bool_k_that_equal_a_cached_k():
-    # An untyped memo would hand these the rows cached for k = 1 and k = 2.
-    seq_row(Family.K_PELL, 1, 0, 4)
-    seq_row(Family.K_PELL, 2, 0, 4)
+    # An untyped memo would hand these the terms cached for k = 1 and k = 2.
+    # A lone int argument is its own lru_cache key, so only the Fraction
+    # spellings of 1 and 2 share a key with 1.0, 2.0 and True.
+    for k in (1, 2, Fraction(1), Fraction(2)):
+        seq_row(Family.K_PELL, k, 0, 4)
+        pell_term(k, 3)
+        dc_number(Family.K_PELL, k, 3)
+        dc_number(Family.K_PELL_LUCAS, k, 3)
     for k in (1.0, 2.0, True):
-        with pytest.raises(ValueError, match="positive int or Fraction"):
-            seq_row(Family.K_PELL, k, 0, 4)
+        for read in (
+            lambda: seq_row(Family.K_PELL, k, 0, 4),
+            lambda: pell_term(k, 3),
+            lambda: dc_number(Family.K_PELL, k, 3),
+            lambda: dc_number(Family.K_PELL_LUCAS, k, 3),
+        ):
+            with pytest.raises(ValueError, match="positive int or Fraction"):
+                read()
 
 
 @pytest.mark.parametrize("field", range(3))
@@ -151,3 +164,27 @@ def test_closed_forms_return_fractions_never_floats():
         for n in range(8):
             assert type(seq_binet(k, n)) is Fraction
             assert all(type(c) is Fraction for c in binet_quaternion(k, n).coefficients())
+
+
+@pytest.mark.parametrize("bad", [True, 0.5])
+def test_rationalize_rejects_bool_and_float(bad):
+    with pytest.raises(TypeError):
+        rationalize(bad)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda w, s: w * s, lambda w, s: s * w, lambda w, s: w.scale(s)],
+    ids=["mul", "rmul", "scale"],
+)
+@pytest.mark.parametrize("bad", [0.5, 2.0, True])
+def test_dual_complex_rejects_inexact_scalar(op, bad):
+    with pytest.raises(TypeError):
+        op(DualComplex(1, 2, 3, 4), bad)
+
+
+def test_dual_complex_scales_by_exact_scalars():
+    w = DualComplex(1, 2, 3, 4)
+    assert w * 2 == 2 * w == w.scale(2) == DualComplex(2, 4, 6, 8)
+    assert w * Fraction(1, 2) == DualComplex(Fraction(1, 2), 1, Fraction(3, 2), 2)
+    assert w.scale(QuadExt(3, 0, 2)) == DualComplex(3, 6, 9, 12)

@@ -184,6 +184,9 @@ def test_nonpositive_k_rejected():
         (IdentityId.G9, {"k": 0.1, "n": 1}),
         (IdentityId.G9, {"k": "2", "n": 1}),
         (IdentityId.RING_AXIOMS, {"n": 0.5}),
+        (IdentityId.G9, {"k": 1, "n": True}),
+        (IdentityId.G13, {"k": 1, "n": 1, "m": False}),
+        (IdentityId.G9, {"k": [2], "n": 1}),
     ],
 )
 def test_non_integral_or_inexact_bindings_rejected(ident, bad):
