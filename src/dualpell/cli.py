@@ -12,9 +12,9 @@ import sys
 from fractions import Fraction
 
 from .identities import CATALOG, IdentityId, identity_sides, required_bindings
-from .quaternions import binet_quaternion, build_quaternion
+from .quaternions import build_quaternion
 from .scalars import parse_rational
-from .sequences import Family, SequenceSpec, seq_binet, seq_row, seq_term
+from .sequences import Family, seq_row
 from .verifier import SweepConfig, default_config, reports_to_json, summary_lines, sweep
 
 USAGE_ERROR = 2
@@ -158,17 +158,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_binet(args: argparse.Namespace) -> int:
+    bindings = {"k": args.k, "n": args.n}
     if args.level == "number":
-        closed = seq_binet(args.k, args.n)
-        direct = seq_term(SequenceSpec(Family.K_PELL, args.k), args.n)
-        consistent = closed == direct
-        rendered: object = str(closed)
-        plain_value = str(closed)
+        closed, direct = identity_sides(IdentityId.BINET_NUMBER, bindings)
+        plain_value = str(closed.real)
+        rendered: object = plain_value
     else:
-        closed_q = binet_quaternion(args.k, args.n)
-        consistent = closed_q == build_quaternion(Family.K_PELL, args.k, args.n).value
-        rendered = closed_q.to_json_dict()
-        plain_value = closed_q.render()
+        closed, direct = identity_sides(IdentityId.BINET_QUATERNION, bindings)
+        rendered = closed.to_json_dict()
+        plain_value = closed.render()
+    consistent = closed == direct
     if args.format == "plain":
         print(plain_value)
         print(f"consistent: {'true' if consistent else 'false'}")

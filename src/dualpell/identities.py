@@ -5,8 +5,8 @@ its right side from the closed form, through structurally independent code,
 so an exact mismatch points at the identity itself rather than at a shared
 bug. Scalar identities are embedded as dual-complex values with zero i, eps
 and i*eps slots so a single report format covers the whole catalog. Each
-entry's ``sides(t, b)`` reads its terms from ``t = terms(k)`` and its integer
-bindings n, m, r from the dict ``b``.
+entry's ``sides(t, n, ...)`` reads its terms from ``t = terms(k)`` and takes
+its integer bindings as arguments, in the order of the entry's ``params``.
 
 Two entries (ring_axioms, div_roundtrip) are sample-based rather than
 grid-based: they take no k (``t`` is None) and the integer binding n selects
@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 from .dualcomplex import DC_EPS, DC_I, DC_IEPS, Conjugation, DualComplex
 from .quaternions import binet_quaternion, gamma_closed
 from .scalars import positive_k
-from .sequences import Family, Terms, seq_binet, seq_prefix_sum, seq_row, terms
+from .sequences import Family, seq_binet, seq_prefix_sum, seq_row, terms
 
 
 class IdentityId(Enum):
@@ -79,15 +79,21 @@ class IdentityId(Enum):
 
 
 Bindings = Mapping[str, object]
-Sides = Callable[[Terms | None, dict], tuple[DualComplex, DualComplex]]
+Sides = Callable[..., tuple[DualComplex, DualComplex]]
+
+
+def _nonneg(b: dict) -> bool:
+    return all(value >= 0 for value in b.values())
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    params: tuple[str, ...]
-    uses_k: bool
-    pre: Callable[[dict], bool]
+    """``sides(t, *values)`` over ``params``; ``pre`` reads them as a dict."""
+
     sides: Sides
+    params: tuple[str, ...] = ("n",)
+    pre: Callable[[dict], bool] = _nonneg
+    uses_k: bool = True
 
 
 def _sign(n: int) -> int:
@@ -98,15 +104,10 @@ def _dc(one, i=0, eps=0, ieps=0) -> DualComplex:
     return DualComplex(one, i, eps, ieps)
 
 
-def _nonneg(b: dict) -> bool:
-    return all(value >= 0 for value in b.values())
-
-
 # --- conjugation products of the k-Pell dual-complex number (F12-F25) ------
 
 def _product_entry(kind: Conjugation, rhs) -> Sides:
-    def sides(t, b):
-        n = b["n"]
+    def sides(t, n):
         return t.q(n).norm_product(kind), rhs(t, n)
 
     return sides
@@ -141,8 +142,7 @@ def _rhs_pure_scalar(t, n):
 # --- conjugation sums and mixed relations (F16-F21) -------------------------
 
 def _sum_entry(kind: Conjugation, rhs) -> Sides:
-    def sides(t, b):
-        n = b["n"]
+    def sides(t, n):
         w = t.q(n)
         return w + w.conjugate(kind), rhs(t, n)
 
@@ -161,68 +161,53 @@ def _rhs_f18(t, n):
     return _dc(2 * t.p(n), 0, 0, 2 * t.p(n + 3))
 
 
-def _sides_f19(t, b):
-    n = b["n"]
+def _sides_f19(t, n):
     w = t.q(n)
     lhs = _dc(t.p(n), t.p(n + 1)) * w.conjugate(Conjugation.DUAL_COMPLEX)
     rhs = _dc(t.p(n), -t.p(n + 1)) * w.conjugate(Conjugation.DUAL)
     return lhs, rhs
 
 
-def _sides_f20(t, b):
-    n = b["n"]
+def _sides_f20(t, n):
     w = t.q(n)
     return DC_EPS * w + w.conjugate(Conjugation.ANTI_DUAL), _dc(t.p(n + 2), t.p(n + 3))
 
 
-def _sides_f21(t, b):
-    n = b["n"]
+def _sides_f21(t, n):
     w = t.q(n)
     return w - DC_EPS * w.conjugate(Conjugation.ANTI_DUAL), _dc(t.p(n), t.p(n + 1))
 
 
 # --- number-level family relations (F26-F31) --------------------------------
 
-def _sides_f26(t, b):
-    n = b["n"]
+def _sides_f26(t, n):
     return t.q(n + 2), t.q(n + 1).scale(2) + t.q(n).scale(t.k)
 
 
-def _sides_f27(t, b):
-    n = b["n"]
+def _sides_f27(t, n):
     pl = Family.K_PELL_LUCAS
     return t.d(pl, n + 2), t.d(pl, n + 1).scale(2) + t.d(pl, n).scale(t.k)
 
 
-def _sides_f28(t, b):
-    n = b["n"]
+def _sides_f28(t, n):
     return t.d(Family.MODIFIED_K_PELL, n), t.q(n) + t.q(n - 1).scale(t.k)
 
 
-def _sides_f29(t, b):
-    n = b["n"]
+def _sides_f29(t, n):
     return t.d(Family.MODIFIED_K_PELL, n), t.q(n + 1) - t.q(n)
 
 
-def _sides_f30(t, b):
-    n = b["n"]
+def _sides_f30(t, n):
     return t.d(Family.K_PELL_LUCAS, n), (t.q(n + 1) - t.q(n)).scale(2)
 
 
-def _sides_f31(t, b):
-    n = b["n"]
+def _sides_f31(t, n):
     return t.d(Family.K_PELL_LUCAS, n + 1), (t.q(n + 1) + t.q(n)).scale(2)
 
 
 # --- quaternion identities (G9-G19) ------------------------------------------
 
-def _sides_g9(t, b):
-    n = b["n"]
-    return t.q(n + 2), t.q(n + 1).scale(2) + t.q(n).scale(t.k)
-
-
-def _sides_g10(t, b):
-    n = b["n"]
+def _sides_g10(t, n):
     q1, q0 = t.q(n + 1), t.q(n)
     lhs = q1 * q1 + (q0 * q0).scale(t.k)
     tail = _dc(
@@ -234,8 +219,7 @@ def _sides_g10(t, b):
     return lhs, t.q(2 * n + 1) + tail
 
 
-def _sides_g11(t, b):
-    n = b["n"]
+def _sides_g11(t, n):
     hi, lo = t.q(n + 1), t.q(n - 1)
     lhs = hi * hi - (lo * lo).scale(t.k * t.k)
     # Q_{n+1} - kQ_{n-1} = 2Q_n and the ring commutes, so the left side is
@@ -249,8 +233,7 @@ def _sides_g11(t, b):
     return lhs, t.q(2 * n).scale(2) - tail.scale(2)
 
 
-def _sides_g12(t, b):
-    n = b["n"]
+def _sides_g12(t, n):
     lhs = (
         t.q(n)
         - DC_I * t.q(n + 1).conjugate(Conjugation.COUPLED)
@@ -260,44 +243,38 @@ def _sides_g12(t, b):
     return lhs, _dc(t.p(n) - t.p(n + 2), 0, 2 * t.p(n + 4), 0)
 
 
-def _sides_g13(t, b):
-    n, m = b["n"], b["m"]
+def _sides_g13(t, n, m):
     s = n + m
     lhs = (t.q(n - 1) * t.q(m)).scale(t.k) + t.q(n) * t.q(m + 1)
     tail = _dc(-t.p(s + 2), t.p(s + 1), t.p(s + 2) - 2 * t.p(s + 4), 3 * t.p(s + 3))
     return lhs, t.q(s) + tail
 
 
-def _sides_g14(t, b):
-    n = b["n"]
+def _sides_g14(t, n):
     row = seq_row(Family.K_PELL, t.k, 0, n + 4)
     total = sum((DualComplex(*row[s : s + 4]) for s in range(n + 1)), _dc(0))
     closed = t.q(n + 1) + t.q(n).scale(t.k) - t.q(1) + t.q(0)
     return total, closed.scale(Fraction(1, t.k + 1))
 
 
-def _sides_g17(t, b):
-    n, m = b["n"], b["m"]
+def _sides_g17(t, n, m):
     lhs = t.q(m) * t.q(n + 1) - t.q(m + 1) * t.q(n)
     factor = _sign(n) * t.k**n * t.p(m - n)
     return lhs, gamma_closed(t.k).scale(factor)
 
 
-def _sides_g18(t, b):
-    n = b["n"]
+def _sides_g18(t, n):
     lhs = t.q(n - 1) * t.q(n + 1) - t.q(n) * t.q(n)
     return lhs, gamma_closed(t.k).scale(_sign(n) * t.k ** (n - 1))
 
 
-def _sides_g19_stated(t, b):
-    n, r = b["n"], b["r"]
+def _sides_g19_stated(t, n, r):
     lhs = t.q(n) * t.q(n) - t.q(n + r) * t.q(n - r)
     factor = (-t.k) ** (n - r + 1) * t.p(r) ** 2
     return lhs, gamma_closed(t.k).scale(factor)
 
 
-def _sides_g19_proof(t, b):
-    n, r = b["n"], b["r"]
+def _sides_g19_proof(t, n, r):
     lhs = t.q(n - r) * t.q(n + r) - t.q(n) * t.q(n)
     factor = _sign(n - r + 1) * t.k ** (n - r) * t.p(r) ** 2
     return lhs, gamma_closed(t.k).scale(factor)
@@ -305,42 +282,35 @@ def _sides_g19_proof(t, b):
 
 # --- scalar helper identities from the quaternion proofs ---------------------
 
-def _sides_helper_honsberger(t, b):
-    n, m = b["n"], b["m"]
+def _sides_helper_honsberger(t, n, m):
     return _dc(t.k * t.p(n - 1) * t.p(m) + t.p(n) * t.p(m + 1)), _dc(t.p(n + m))
 
 
-def _sides_helper_docagne(t, b):
-    n, m = b["n"], b["m"]
+def _sides_helper_docagne(t, n, m):
     lhs = _dc(t.p(m) * t.p(n + 1) - t.p(m + 1) * t.p(n))
     return lhs, _dc(_sign(n) * t.k**n * t.p(m - n))
 
 
-def _sides_helper_cassini(t, b):
-    n = b["n"]
+def _sides_helper_cassini(t, n):
     return _dc(t.p(n - 1) * t.p(n + 1) - t.p(n) ** 2), _dc(_sign(n) * t.k ** (n - 1))
 
 
-def _sides_f14_kernel(t, b):
-    n = b["n"]
+def _sides_f14_kernel(t, n):
     lhs = _dc(t.p(n) * t.p(n + 3) - t.p(n + 1) * t.p(n + 2))
     return lhs, _dc(-2 * _sign(n) * t.k**n)
 
 
 # --- consistency checks between independent evaluation routes ----------------
 
-def _sides_binet_number(t, b):
-    n = b["n"]
+def _sides_binet_number(t, n):
     return _dc(seq_binet(t.k, n)), _dc(t.p(n))
 
 
-def _sides_binet_quaternion(t, b):
-    n = b["n"]
+def _sides_binet_quaternion(t, n):
     return binet_quaternion(t.k, n), t.q(n)
 
 
-def _sides_prefix_sum(t, b):
-    n = b["n"]
+def _sides_prefix_sum(t, n):
     literal = sum(seq_row(Family.K_PELL, t.k, 0, n + 1))
     return _dc(seq_prefix_sum(t.k, n)), _dc(literal)
 
@@ -360,8 +330,8 @@ def _random_dc(rng: random.Random) -> DualComplex:
     return DualComplex(*(_random_rational(rng) for _ in range(4)))
 
 
-def _sides_ring_axioms(_t, b):
-    rng = _sample_rng("ring", b["n"])
+def _sides_ring_axioms(_t, n):
+    rng = _sample_rng("ring", n)
     x, y, z = _random_dc(rng), _random_dc(rng), _random_dc(rng)
     one = _dc(1)
     checks = (
@@ -376,8 +346,8 @@ def _sides_ring_axioms(_t, b):
     return checks[0]
 
 
-def _sides_div_roundtrip(_t, b):
-    rng = _sample_rng("div", b["n"])
+def _sides_div_roundtrip(_t, n):
+    rng = _sample_rng("div", n)
     numerator = _random_dc(rng)
     divisor = _random_dc(rng)
     while divisor.has_zero_complex_part():
@@ -395,74 +365,54 @@ def _pre_catalan(b: dict) -> bool:
     return 1 <= b["r"] <= b["n"]
 
 
-# F22S, F23 and F25 restate F12S, F13 and F15 and share their entries.
-_F12S = CatalogEntry(
-    ("n",), True, _nonneg, _product_entry(Conjugation.COMPLEX, _rhs_f12_simplified)
-)
-_F13 = CatalogEntry(("n",), True, _nonneg, _product_entry(Conjugation.DUAL, _rhs_f13))
-_F15 = CatalogEntry(
-    ("n",), True, _nonneg, _product_entry(Conjugation.DUAL_COMPLEX, _rhs_pure_scalar)
-)
+# F22S, F23 and F25 restate F12S, F13 and F15, and G9 restates F26; each
+# pair shares one entry.
+_F12S = CatalogEntry(_product_entry(Conjugation.COMPLEX, _rhs_f12_simplified))
+_F13 = CatalogEntry(_product_entry(Conjugation.DUAL, _rhs_f13))
+_F15 = CatalogEntry(_product_entry(Conjugation.DUAL_COMPLEX, _rhs_pure_scalar))
+_F26 = CatalogEntry(_sides_f26)
 
 CATALOG: dict[IdentityId, CatalogEntry] = {
     IdentityId.F12S: _F12S,
-    IdentityId.F12RAW: CatalogEntry(
-        ("n",), True, _nonneg, _product_entry(Conjugation.COMPLEX, _rhs_f12_raw)
-    ),
+    IdentityId.F12RAW: CatalogEntry(_product_entry(Conjugation.COMPLEX, _rhs_f12_raw)),
     IdentityId.F13: _F13,
-    IdentityId.F14: CatalogEntry(
-        ("n",), True, _nonneg, _product_entry(Conjugation.COUPLED, _rhs_f14_closed)
-    ),
+    IdentityId.F14: CatalogEntry(_product_entry(Conjugation.COUPLED, _rhs_f14_closed)),
     IdentityId.F15: _F15,
-    IdentityId.F16: CatalogEntry(
-        ("n",), True, _nonneg, _sum_entry(Conjugation.COMPLEX, _rhs_f16)
-    ),
-    IdentityId.F17: CatalogEntry(
-        ("n",), True, _nonneg, _sum_entry(Conjugation.DUAL, _rhs_f17)
-    ),
-    IdentityId.F18: CatalogEntry(
-        ("n",), True, _nonneg, _sum_entry(Conjugation.COUPLED, _rhs_f18)
-    ),
-    IdentityId.F19: CatalogEntry(("n",), True, _nonneg, _sides_f19),
-    IdentityId.F20: CatalogEntry(("n",), True, _nonneg, _sides_f20),
-    IdentityId.F21: CatalogEntry(("n",), True, _nonneg, _sides_f21),
+    IdentityId.F16: CatalogEntry(_sum_entry(Conjugation.COMPLEX, _rhs_f16)),
+    IdentityId.F17: CatalogEntry(_sum_entry(Conjugation.DUAL, _rhs_f17)),
+    IdentityId.F18: CatalogEntry(_sum_entry(Conjugation.COUPLED, _rhs_f18)),
+    IdentityId.F19: CatalogEntry(_sides_f19),
+    IdentityId.F20: CatalogEntry(_sides_f20),
+    IdentityId.F21: CatalogEntry(_sides_f21),
     IdentityId.F22S: _F12S,
     IdentityId.F23: _F13,
-    IdentityId.F24: CatalogEntry(
-        ("n",), True, _nonneg, _product_entry(Conjugation.COUPLED, _rhs_f24_raw)
-    ),
+    IdentityId.F24: CatalogEntry(_product_entry(Conjugation.COUPLED, _rhs_f24_raw)),
     IdentityId.F25: _F15,
-    IdentityId.F26: CatalogEntry(("n",), True, _nonneg, _sides_f26),
-    IdentityId.F27: CatalogEntry(("n",), True, _nonneg, _sides_f27),
-    IdentityId.F28: CatalogEntry(("n",), True, _nonneg, _sides_f28),
-    IdentityId.F29: CatalogEntry(("n",), True, _nonneg, _sides_f29),
-    IdentityId.F30: CatalogEntry(("n",), True, _nonneg, _sides_f30),
-    IdentityId.F31: CatalogEntry(("n",), True, _nonneg, _sides_f31),
-    IdentityId.G9: CatalogEntry(("n",), True, _nonneg, _sides_g9),
-    IdentityId.G10: CatalogEntry(("n",), True, _nonneg, _sides_g10),
-    IdentityId.G11: CatalogEntry(("n",), True, _nonneg, _sides_g11),
-    IdentityId.G12: CatalogEntry(("n",), True, _nonneg, _sides_g12),
-    IdentityId.G13: CatalogEntry(("n", "m"), True, _nonneg, _sides_g13),
-    IdentityId.G14: CatalogEntry(("n",), True, _nonneg, _sides_g14),
-    IdentityId.G17: CatalogEntry(("n", "m"), True, _nonneg, _sides_g17),
-    IdentityId.G18: CatalogEntry(("n",), True, _pre_n1, _sides_g18),
-    IdentityId.G19STATED: CatalogEntry(("n", "r"), True, _pre_catalan, _sides_g19_stated),
-    IdentityId.G19PROOF: CatalogEntry(("n", "r"), True, _pre_catalan, _sides_g19_proof),
-    IdentityId.HELPER_HONSBERGER: CatalogEntry(
-        ("n", "m"), True, _nonneg, _sides_helper_honsberger
-    ),
-    IdentityId.HELPER_DOCAGNE: CatalogEntry(
-        ("n", "m"), True, _nonneg, _sides_helper_docagne
-    ),
-    IdentityId.HELPER_CASSINI: CatalogEntry(("n",), True, _pre_n1, _sides_helper_cassini),
-    IdentityId.F14KERNEL: CatalogEntry(("n",), True, _nonneg, _sides_f14_kernel),
-    IdentityId.RING_AXIOMS: CatalogEntry(("n",), False, _nonneg, _sides_ring_axioms),
-    IdentityId.DIV_ROUNDTRIP: CatalogEntry(("n",), False, _nonneg, _sides_div_roundtrip),
-    IdentityId.BINET_NUMBER: CatalogEntry(("n",), True, _nonneg, _sides_binet_number),
-    IdentityId.BINET_QUATERNION: CatalogEntry(
-        ("n",), True, _nonneg, _sides_binet_quaternion
-    ),
-    IdentityId.PREFIX_SUM: CatalogEntry(("n",), True, _nonneg, _sides_prefix_sum),
+    IdentityId.F26: _F26,
+    IdentityId.F27: CatalogEntry(_sides_f27),
+    IdentityId.F28: CatalogEntry(_sides_f28),
+    IdentityId.F29: CatalogEntry(_sides_f29),
+    IdentityId.F30: CatalogEntry(_sides_f30),
+    IdentityId.F31: CatalogEntry(_sides_f31),
+    IdentityId.G9: _F26,
+    IdentityId.G10: CatalogEntry(_sides_g10),
+    IdentityId.G11: CatalogEntry(_sides_g11),
+    IdentityId.G12: CatalogEntry(_sides_g12),
+    IdentityId.G13: CatalogEntry(_sides_g13, ("n", "m")),
+    IdentityId.G14: CatalogEntry(_sides_g14),
+    IdentityId.G17: CatalogEntry(_sides_g17, ("n", "m")),
+    IdentityId.G18: CatalogEntry(_sides_g18, pre=_pre_n1),
+    IdentityId.G19STATED: CatalogEntry(_sides_g19_stated, ("n", "r"), _pre_catalan),
+    IdentityId.G19PROOF: CatalogEntry(_sides_g19_proof, ("n", "r"), _pre_catalan),
+    IdentityId.HELPER_HONSBERGER: CatalogEntry(_sides_helper_honsberger, ("n", "m")),
+    IdentityId.HELPER_DOCAGNE: CatalogEntry(_sides_helper_docagne, ("n", "m")),
+    IdentityId.HELPER_CASSINI: CatalogEntry(_sides_helper_cassini, pre=_pre_n1),
+    IdentityId.F14KERNEL: CatalogEntry(_sides_f14_kernel),
+    IdentityId.RING_AXIOMS: CatalogEntry(_sides_ring_axioms, uses_k=False),
+    IdentityId.DIV_ROUNDTRIP: CatalogEntry(_sides_div_roundtrip, uses_k=False),
+    IdentityId.BINET_NUMBER: CatalogEntry(_sides_binet_number),
+    IdentityId.BINET_QUATERNION: CatalogEntry(_sides_binet_quaternion),
+    IdentityId.PREFIX_SUM: CatalogEntry(_sides_prefix_sum),
 }
 
 
@@ -494,4 +444,4 @@ def identity_sides(
     t = terms(positive_k(bindings["k"])) if entry.uses_k else None  # type: ignore[arg-type]
     if not entry.pre(ints):
         raise ValueError(f"bindings out of range for {ident.value}: {dict(bindings)}")
-    return entry.sides(t, ints)
+    return entry.sides(t, *ints.values())

@@ -151,6 +151,9 @@ def terms(k: Fraction | int) -> Terms:
 
 def pell_term(k: Fraction | int, n: int) -> Fraction | int:
     """P_{k,n} for any integer n."""
+    # The view's dicts would serve a float or bool equal to a cached index.
+    if type(n) is not int:
+        raise ValueError(f"n must be int, got {n!r}")
     return terms(k).p(n)
 
 
@@ -184,4 +187,6 @@ def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:
 
 def dc_number(family: Family, k: Fraction | int, n: int) -> DualComplex:
     """Dual-complex number S_n + i S_{n+1} + eps S_{n+2} + i eps S_{n+3}."""
+    if type(n) is not int:
+        raise ValueError(f"n must be int, got {n!r}")
     return terms(k).d(family, n)

@@ -98,37 +98,32 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
     for ident in config.ids:
         entry = CATALOG[ident]
         started = time.perf_counter()
-        grid_size = 0
-        skipped = 0
-        k1_seen = False
+        # pre never reads k, so each identity's grid is filtered once.
+        points = list(itertools.product(*(axes[p] for p in entry.params)))
+        grid = [v for v in points if entry.pre(dict(zip(entry.params, v)))]
+        skipped = len(points) - len(grid)
+        ks = config.k_values if entry.uses_k else (None,)
         k1_failed = False
         failures = 0
         counterexamples: list[Counterexample] = []
-        for k in config.k_values if entry.uses_k else (None,):
+        for k in ks:
             t = terms(k) if entry.uses_k else None
-            is_k1 = k == 1
-            for values in itertools.product(*(axes[p] for p in entry.params)):
-                ints = dict(zip(entry.params, values))
-                if not entry.pre(ints):
-                    skipped += 1
-                    continue
-                grid_size += 1
-                k1_seen = k1_seen or is_k1
+            for values in grid:
                 try:
-                    lhs, rhs = entry.sides(t, ints)
-                    equal = lhs == rhs
+                    lhs, rhs = entry.sides(t, *values)
+                    if lhs == rhs:
+                        continue
                     error = None
                 except Exception as exc:  # recorded, never thrown mid-sweep
                     lhs = rhs = None
-                    equal = False
                     error = f"{type(exc).__name__}: {exc}"
-                if equal:
-                    continue
                 failures += 1
-                k1_failed = k1_failed or is_k1
+                k1_failed = k1_failed or k == 1
                 if len(counterexamples) < config.max_counterexamples:
-                    shown = {"k": k, **ints} if entry.uses_k else ints
+                    shown = {"k": k} if entry.uses_k else {}
+                    shown.update(zip(entry.params, values))
                     counterexamples.append(Counterexample(shown, lhs, rhs, error))
+        k1_seen = 1 in ks and bool(grid)
         if failures == 0:
             verdict = Verdict.HOLDS
         elif k1_seen and not k1_failed:
@@ -138,8 +133,8 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
         reports.append(
             IdentityReport(
                 id=ident,
-                grid_size=grid_size,
-                skipped=skipped,
+                grid_size=len(grid) * len(ks),
+                skipped=skipped * len(ks),
                 verdict=verdict,
                 counterexamples=tuple(counterexamples),
                 elapsed=time.perf_counter() - started,

@@ -224,3 +224,13 @@ def test_quat_prints_values_past_the_int_str_digit_cap(capsys):
         expected = str(pell_term(2, 12000))
     assert len(expected) > 4300
     assert json.loads(out)["one"] == expected
+
+
+def test_binet_plain_at_rational_k(capsys):
+    code, out, _ = run(capsys, "binet", "--k", "5/2", "--n", "7", "--format", "plain")
+    assert code == 0
+    assert out == "3437/8\nconsistent: true\n"
+    code, out, _ = run(capsys, "binet", "--k", "5/2", "--n", "3", "--level", "quaternion",
+                       "--format", "plain")
+    assert code == 0
+    assert out == "13/2 + 18·i + 209/4·eps + 299/2·i·eps\nconsistent: true\n"

@@ -121,6 +121,23 @@ def test_typed_row_memo_rejects_float_and_bool_k_that_equal_a_cached_k():
                 read()
 
 
+@pytest.mark.parametrize("index", [3.0, 1.0, True])
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda n: pell_term(2, n),
+        lambda n: dc_number(Family.K_PELL, 2, n),
+        lambda n: dc_number(Family.K_PELL_LUCAS, 2, n),
+    ],
+    ids=["pell_term", "dc_number_pell", "dc_number_lucas"],
+)
+def test_inexact_index_rejected_after_a_warm_read(read, index):
+    # The term view caches by index, and 3.0 == 3, True == 1 hash alike.
+    read(int(index))
+    with pytest.raises(ValueError, match="n must be int"):
+        read(index)
+
+
 @pytest.mark.parametrize("field", range(3))
 @pytest.mark.parametrize("bad", [0.1, True, 2.0])
 def test_quadext_rejects_inexact_coefficient(field, bad):

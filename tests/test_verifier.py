@@ -133,3 +133,17 @@ def test_k1_specialization_sweep():
             assert report.verdict is Verdict.FAILS
         else:
             assert report.verdict is Verdict.HOLDS, report.id
+
+
+def test_skip_counts_scale_with_k_but_not_for_sample_entries():
+    config = small_config(
+        [IdentityId.G18, IdentityId.G19PROOF, IdentityId.RING_AXIOMS],
+        ks=(1, 2, 3), n=(-2, 4), r=(1, 3),
+    )
+    counts = {r.id: (r.grid_size, r.skipped) for r in sweep(config)}
+    # g18: n = 1..4 of 7 per k; g19proof: 9 of 21 (n, r) per k; ring_axioms: n = 0..4 once
+    assert counts == {
+        IdentityId.G18: (12, 9),
+        IdentityId.G19PROOF: (27, 36),
+        IdentityId.RING_AXIOMS: (5, 2),
+    }
