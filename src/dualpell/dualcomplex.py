@@ -23,7 +23,7 @@ _SCALARS = (int, Fraction, QuadExt)
 
 
 class NonInvertibleError(ZeroDivisionError):
-    """The divisor's complex part is zero, so no inverse exists."""
+    """The complex part is zero, so no inverse or dual-complex conjugate exists."""
 
 
 class Conjugation(Enum):
@@ -125,17 +125,11 @@ class DualComplex:
     def __truediv__(self, other: "DualComplex") -> "DualComplex":
         """Quotient q with q * other == self; other needs a nonzero complex part.
 
-        Computed as z1/z3 + eps*(z2*z3 - z1*z4)/z3^2.
+        other times its dual-complex conjugate is the real |z3|^2, where z3 is
+        the complex part of other, so q = self * conj(other) / |z3|^2.
         """
-        if other.has_zero_complex_part():
-            raise NonInvertibleError("divisor has zero complex part")
-        z1, z2 = self.complex_part(), self.dual_part()
-        z3, z4 = other.complex_part(), other.dual_part()
-        head = _cdiv(z1, z3)
-        num = _cmul(z2, z3)
-        sub = _cmul(z1, z4)
-        tail = _cdiv((num[0] - sub[0], num[1] - sub[1]), _cmul(z3, z3))
-        return DualComplex(head[0], head[1], tail[0], tail[1])
+        conj = other.conjugate(Conjugation.DUAL_COMPLEX)
+        return (self * conj).scale(Fraction(1) / (other.real**2 + other.imag**2))
 
     def conjugate(self, kind: Conjugation) -> "DualComplex":
         r, i, d, di = self.coefficients()
@@ -149,7 +143,7 @@ class DualComplex:
             return DualComplex(d, di, -r, -i)
         if self.has_zero_complex_part():
             raise NonInvertibleError(
-                "dual-complex conjugation needs a nonzero complex part"
+                "dual-complex conjugation and division need a nonzero complex part"
             )
         quot = _cdiv((d, di), (r, i))          # z2/z1
         t = _cmul((r, -i), quot)               # z1* * (z2/z1)

@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 from .dualcomplex import DC_EPS, DC_I, DC_IEPS, Conjugation, DualComplex
 from .quaternions import binet_quaternion, gamma_closed
 from .scalars import positive_k
-from .sequences import Family, seq_binet, seq_prefix_sum, seq_row, terms
+from .sequences import Family, seq_binet, seq_prefix_sum, terms
 
 
 class IdentityId(Enum):
@@ -82,17 +82,17 @@ Bindings = Mapping[str, object]
 Sides = Callable[..., tuple[DualComplex, DualComplex]]
 
 
-def _nonneg(b: dict) -> bool:
-    return all(value >= 0 for value in b.values())
+def _nonneg(*values: int) -> bool:
+    return all(value >= 0 for value in values)
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """``sides(t, *values)`` over ``params``; ``pre`` reads them as a dict."""
+    """``sides(t, *values)`` and ``pre(*values)`` over ``params``, in that order."""
 
     sides: Sides
     params: tuple[str, ...] = ("n",)
-    pre: Callable[[dict], bool] = _nonneg
+    pre: Callable[..., bool] = _nonneg
     uses_k: bool = True
 
 
@@ -251,7 +251,7 @@ def _sides_g13(t, n, m):
 
 
 def _sides_g14(t, n):
-    row = seq_row(Family.K_PELL, t.k, 0, n + 4)
+    row = t.row(Family.K_PELL, 0, n + 4)
     total = sum((DualComplex(*row[s : s + 4]) for s in range(n + 1)), _dc(0))
     closed = t.q(n + 1) + t.q(n).scale(t.k) - t.q(1) + t.q(0)
     return total, closed.scale(Fraction(1, t.k + 1))
@@ -311,7 +311,7 @@ def _sides_binet_quaternion(t, n):
 
 
 def _sides_prefix_sum(t, n):
-    literal = sum(seq_row(Family.K_PELL, t.k, 0, n + 1))
+    literal = sum(t.row(Family.K_PELL, 0, n + 1))
     return _dc(seq_prefix_sum(t.k, n)), _dc(literal)
 
 
@@ -357,12 +357,12 @@ def _sides_div_roundtrip(_t, n):
 
 # --- catalog ------------------------------------------------------------------
 
-def _pre_n1(b: dict) -> bool:
-    return b["n"] >= 1
+def _pre_n1(n: int) -> bool:
+    return n >= 1
 
 
-def _pre_catalan(b: dict) -> bool:
-    return 1 <= b["r"] <= b["n"]
+def _pre_catalan(n: int, r: int) -> bool:
+    return 1 <= r <= n
 
 
 # F22S, F23 and F25 restate F12S, F13 and F15, and G9 restates F26; each
@@ -438,10 +438,10 @@ def identity_sides(
             f"{ident.value} requires bindings {required}: "
             f"missing {missing or 'none'}, unexpected {extra or 'none'}"
         )
-    ints = {name: bindings[name] for name in entry.params}
-    if not all(type(value) is int for value in ints.values()):
+    values = tuple(bindings[name] for name in entry.params)
+    if not all(type(value) is int for value in values):
         raise ValueError(f"n, m and r must be int for {ident.value}: {dict(bindings)}")
     t = terms(positive_k(bindings["k"])) if entry.uses_k else None  # type: ignore[arg-type]
-    if not entry.pre(ints):
+    if not entry.pre(*values):
         raise ValueError(f"bindings out of range for {ident.value}: {dict(bindings)}")
-    return entry.sides(t, *ints.values())
+    return entry.sides(t, *values)

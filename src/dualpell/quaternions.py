@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dualcomplex import DualComplex
-from .scalars import QuadExt, make_alpha_beta, positive_k, rationalize
+from .scalars import QuadExt, exact_index, make_alpha_beta, positive_k, rationalize
 from .sequences import Family, dc_number
 
 
@@ -61,8 +61,7 @@ def binet_quaternion(k: Fraction | int, n: int) -> DualComplex:
     Evaluated exactly over quadratic scalars and collapsed coefficient-wise
     to rationals; equals build_quaternion(K_PELL, k, n).value.
     """
-    if n < 0:
-        raise ValueError("closed-form evaluation is defined for n >= 0 only")
+    n = exact_index(n, 0)
     alpha, beta = make_alpha_beta(k)
     ha, hb = hat_pair(k)
     numerator = ha.scale(alpha**n) - hb.scale(beta**n)

@@ -192,6 +192,15 @@ def positive_k(k: Fraction | int) -> Fraction | int:
     return k.numerator if k.denominator == 1 else k
 
 
+def exact_index(n: int, least: int | None = None) -> int:
+    """An index or count checked to be exactly an int (not a bool), and >= least if given."""
+    if type(n) is not int:
+        raise ValueError(f"n must be int, got {n!r}")
+    if least is not None and n < least:
+        raise ValueError(f"n must be >= {least}, got {n}")
+    return n
+
+
 def make_alpha_beta(k: Fraction | int) -> tuple[QuadExt, QuadExt]:
     """Characteristic roots 1 + sqrt(1+k) and 1 - sqrt(1+k) of x^2 = 2x + k.
 

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .dualcomplex import DualComplex
-from .scalars import make_alpha_beta, positive_k, rationalize
+from .scalars import exact_index, make_alpha_beta, positive_k, rationalize
 
 
 class Family(Enum):
@@ -94,21 +94,6 @@ def _pell_row(p: int, q: int, lo: int, count: int) -> tuple[Fraction | int, ...]
     return tuple(terms)
 
 
-def seq_row(
-    family: Family, k: Fraction | int, lo: int, count: int
-) -> tuple[Fraction | int, ...]:
-    """The terms S_lo ... S_{lo+count-1} of the family, exact, any integer lo.
-
-    A term is an int for integer k and index >= 0, a Fraction otherwise.
-    """
-    k = positive_k(k)
-    if family is Family.K_PELL:
-        return _pell_row(k.numerator, k.denominator, lo, count)
-    row = _pell_row(k.numerator, k.denominator, lo, count + 1)
-    scale = 2 if family is Family.K_PELL_LUCAS else 1
-    return tuple(scale * (b - a) for a, b in zip(row, row[1:]))
-
-
 class _ByIndex(dict):
     """Values by integer index, each built once by ``build`` on its first read."""
 
@@ -124,7 +109,8 @@ class Terms:
     """The sequence terms at one k, read by index.
 
     p(j) is P_j and q(j) the k-Pell dual-complex number at j, each built once
-    per j; d(family, j) is that number for any family.
+    per j; d(family, j) is that number for any family, and row(family, lo,
+    count) a stretch of consecutive terms, built on every call.
     """
 
     __slots__ = ("k", "p", "q")
@@ -135,10 +121,19 @@ class Terms:
         self.p = _ByIndex(lambda j: row(j, 1)[0]).__getitem__
         self.q = _ByIndex(lambda j: DualComplex(*row(j, 4))).__getitem__
 
+    def row(self, family: Family, lo: int, count: int) -> tuple[Fraction | int, ...]:
+        """S_lo ... S_{lo+count-1}: an int for integer k and index >= 0, else a Fraction."""
+        p, q = self.k.numerator, self.k.denominator
+        if family is Family.K_PELL:
+            return _pell_row(p, q, lo, count)
+        row = _pell_row(p, q, lo, count + 1)
+        scale = 2 if family is Family.K_PELL_LUCAS else 1
+        return tuple(scale * (b - a) for a, b in zip(row, row[1:]))
+
     def d(self, family: Family, j: int) -> DualComplex:
         if family is Family.K_PELL:
             return self.q(j)
-        return DualComplex(*seq_row(family, self.k, j, 4))
+        return DualComplex(*self.row(family, j, 4))
 
 
 # The one memo of the engine. Its key is typed, so a float or bool k that
@@ -149,12 +144,16 @@ def terms(k: Fraction | int) -> Terms:
     return Terms(positive_k(k))
 
 
+def seq_row(
+    family: Family, k: Fraction | int, lo: int, count: int
+) -> tuple[Fraction | int, ...]:
+    """The terms S_lo ... S_{lo+count-1} of the family at k, read through terms(k)."""
+    return terms(positive_k(k)).row(family, exact_index(lo), exact_index(count))
+
+
 def pell_term(k: Fraction | int, n: int) -> Fraction | int:
     """P_{k,n} for any integer n."""
-    # The view's dicts would serve a float or bool equal to a cached index.
-    if type(n) is not int:
-        raise ValueError(f"n must be int, got {n!r}")
-    return terms(k).p(n)
+    return terms(k).p(exact_index(n))
 
 
 def seq_term(spec: SequenceSpec, n: int) -> Fraction | int:
@@ -164,29 +163,23 @@ def seq_term(spec: SequenceSpec, n: int) -> Fraction | int:
 
 def seq_term_fast(spec: SequenceSpec, n: int) -> Fraction | int:
     """seq_term for n >= 0; a negative index is rejected, as in the closed forms."""
-    if n < 0:
-        raise ValueError("fast evaluation is defined for n >= 0 only")
-    return seq_term(spec, n)
+    return seq_term(spec, exact_index(n, 0))
 
 
 def seq_binet(k: Fraction | int, n: int) -> Fraction:
     """P_{k,n} evaluated as (alpha^n - beta^n) / (alpha - beta) in Q(sqrt(1+k))."""
-    if n < 0:
-        raise ValueError("closed-form evaluation is defined for n >= 0 only")
+    n = exact_index(n, 0)
     alpha, beta = make_alpha_beta(k)
     return rationalize((alpha**n - beta**n) / (alpha - beta))
 
 
 def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:
     """Closed form of sum(P_{k,i} for i = 0..n): (-1 + P_{n+1} + k P_n)/(k+1)."""
-    if n < 0:
-        raise ValueError("prefix sums are defined for n >= 0 only")
+    n = exact_index(n, 0)
     t = terms(k)
     return Fraction(-1 + t.p(n + 1) + t.k * t.p(n), t.k + 1)
 
 
 def dc_number(family: Family, k: Fraction | int, n: int) -> DualComplex:
     """Dual-complex number S_n + i S_{n+1} + eps S_{n+2} + i eps S_{n+3}."""
-    if type(n) is not int:
-        raise ValueError(f"n must be int, got {n!r}")
-    return terms(k).d(family, n)
+    return terms(k).d(family, exact_index(n))

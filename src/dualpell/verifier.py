@@ -100,7 +100,7 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
         started = time.perf_counter()
         # pre never reads k, so each identity's grid is filtered once.
         points = list(itertools.product(*(axes[p] for p in entry.params)))
-        grid = [v for v in points if entry.pre(dict(zip(entry.params, v)))]
+        grid = [v for v in points if entry.pre(*v)]
         skipped = len(points) - len(grid)
         ks = config.k_values if entry.uses_k else (None,)
         k1_failed = False

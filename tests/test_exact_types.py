@@ -28,6 +28,8 @@ from dualpell import (
     seq_binet,
     seq_prefix_sum,
     seq_row,
+    seq_term,
+    seq_term_fast,
     sweep,
 )
 from dualpell.identities import IdentityId
@@ -92,7 +94,7 @@ def test_catalog_sides_hold_no_float():
     for ident, entry in CATALOG.items():
         for k in ks if entry.uses_k else (None,):
             for b in _grid(entry.params):
-                if not entry.pre(b):
+                if not entry.pre(*b.values()):
                     continue
                 bindings = dict(b, k=k) if entry.uses_k else b
                 for side in identity_sides(ident, bindings):
@@ -119,6 +121,9 @@ def test_typed_row_memo_rejects_float_and_bool_k_that_equal_a_cached_k():
         ):
             with pytest.raises(ValueError, match="positive int or Fraction"):
                 read()
+    # positive_k runs before the memo, so an unhashable k is no TypeError.
+    with pytest.raises(ValueError, match="positive int or Fraction"):
+        seq_row(Family.K_PELL, [2], 0, 1)
 
 
 @pytest.mark.parametrize("index", [3.0, 1.0, True])
@@ -128,11 +133,22 @@ def test_typed_row_memo_rejects_float_and_bool_k_that_equal_a_cached_k():
         lambda n: pell_term(2, n),
         lambda n: dc_number(Family.K_PELL, 2, n),
         lambda n: dc_number(Family.K_PELL_LUCAS, 2, n),
+        lambda n: seq_term(SequenceSpec(Family.K_PELL, 2), n),
+        lambda n: seq_term_fast(SequenceSpec(Family.K_PELL, 2), n),
+        lambda n: seq_row(Family.K_PELL, 2, n, 2),
+        lambda n: seq_row(Family.K_PELL, 2, 0, n),
+        lambda n: seq_binet(2, n),
+        lambda n: seq_prefix_sum(2, n),
+        lambda n: binet_quaternion(2, n),
     ],
-    ids=["pell_term", "dc_number_pell", "dc_number_lucas"],
+    ids=[
+        "pell_term", "dc_number_pell", "dc_number_lucas", "seq_term", "seq_term_fast",
+        "seq_row_lo", "seq_row_count", "seq_binet", "seq_prefix_sum", "binet_quaternion",
+    ],
 )
 def test_inexact_index_rejected_after_a_warm_read(read, index):
-    # The term view caches by index, and 3.0 == 3, True == 1 hash alike.
+    # The term view caches by index, and 3.0 == 3, True == 1 hash alike;
+    # the other reads would truncate or take True as 1.
     read(int(index))
     with pytest.raises(ValueError, match="n must be int"):
         read(index)
