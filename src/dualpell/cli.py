@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .identities import CATALOG, IdentityId, identity_sides, required_bindings
 from .quaternions import build_quaternion
-from .scalars import parse_rational
+from .scalars import parse_rational, positive_k
 from .sequences import Family, seq_row
 from .verifier import SweepConfig, default_config, reports_to_json, summary_lines, sweep
 
@@ -21,53 +21,41 @@ USAGE_ERROR = 2
 UNEQUAL = 1
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _usage(parse):
+    """An argparse type that reports the ValueError of a library check as a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _positive_rational(text: str) -> Fraction:
-    value = _rational(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"k must be positive, got {text}")
-    return value
+@_usage
+def _k(text: str) -> Fraction | int:
+    return positive_k(parse_rational(text))
 
 
-def _rational_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(_positive_rational(part) for part in text.split(","))
-
-
+@_usage
 def _int_range(text: str) -> tuple[int, int]:
     """Inclusive range 'a..b', or a single integer 'a' meaning a..a."""
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            bounds = (int(lo), int(hi))
-        else:
-            bounds = (int(text), int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed range: {text!r}") from None
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        bounds = (int(lo), int(hi))
+    else:
+        bounds = (int(text), int(text))
     if bounds[0] > bounds[1]:
-        raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+        raise ValueError(f"empty range: {text!r}")
     return bounds
 
 
+@_usage
 def _identity_ids(text: str) -> tuple[IdentityId, ...]:
     if text.strip().lower() == "all":
         return tuple(CATALOG)
-    try:
-        return tuple(IdentityId.from_tag(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _family(text: str) -> Family:
-    try:
-        return Family.from_name(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return tuple(IdentityId.from_tag(part) for part in text.split(","))
 
 
 def _emit(obj: dict) -> None:
@@ -184,13 +172,11 @@ def _cmd_binet(args: argparse.Namespace) -> int:
     return 0 if consistent else UNEQUAL
 
 
+@_usage
 def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed integer: {text!r}") from None
+    value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+        raise ValueError("must be >= 0")
     return value
 
 
@@ -202,23 +188,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_seq = sub.add_parser("seq", help="print a stretch of a sequence")
-    p_seq.add_argument("--family", type=_family, required=True)
-    p_seq.add_argument("--k", type=_positive_rational, required=True)
+    p_seq.add_argument("--family", type=_usage(Family.from_name), required=True)
+    p_seq.add_argument("--k", type=_k, required=True)
     p_seq.add_argument("--from", dest="start", type=int, required=True)
     p_seq.add_argument("--to", dest="end", type=int, required=True)
     p_seq.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     p_seq.set_defaults(func=_cmd_seq)
 
     p_quat = sub.add_parser("quat", help="print one dual-complex quaternion")
-    p_quat.add_argument("--family", type=_family, required=True)
-    p_quat.add_argument("--k", type=_positive_rational, required=True)
+    p_quat.add_argument("--family", type=_usage(Family.from_name), required=True)
+    p_quat.add_argument("--k", type=_k, required=True)
     p_quat.add_argument("--n", type=int, required=True)
     p_quat.add_argument("--format", choices=("json", "plain"), default="json")
     p_quat.set_defaults(func=_cmd_quat)
 
     p_id = sub.add_parser("identity", help="check one identity at one tuple")
-    p_id.add_argument("--id", type=IdentityId.from_tag, required=True)
-    p_id.add_argument("--k", type=_positive_rational)
+    p_id.add_argument("--id", type=_usage(IdentityId.from_tag), required=True)
+    p_id.add_argument("--k", type=_k)
     p_id.add_argument("--n", type=int)
     p_id.add_argument("--m", type=int)
     p_id.add_argument("--r", type=int)
@@ -227,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep identities over a parameter grid")
     p_sweep.add_argument("--ids", type=_identity_ids, default=tuple(CATALOG))
-    p_sweep.add_argument("--k", type=_rational_list, default=default_config().k_values)
+    p_sweep.add_argument(
+        "--k", type=lambda text: tuple(map(_k, text.split(","))), default=default_config().k_values
+    )
     p_sweep.add_argument("--n", type=_int_range, default=(0, 32))
     p_sweep.add_argument("--m", type=_int_range, default=(0, 32))
     p_sweep.add_argument("--r", type=_int_range, default=(1, 8))
@@ -237,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_binet = sub.add_parser("binet", help="closed-form value plus consistency check")
-    p_binet.add_argument("--k", type=_positive_rational, required=True)
+    p_binet.add_argument("--k", type=_k, required=True)
     p_binet.add_argument("--n", type=_nonnegative_int, required=True)
     p_binet.add_argument("--level", choices=("number", "quaternion"), default="number")
     p_binet.add_argument("--format", choices=("json", "plain"), default="json")

@@ -7,7 +7,8 @@ when z1 is nonzero; elements with z1 = 0 are zero divisors (eps is nilpotent).
 Coefficients are generic over an exact scalar ring: everything here works the
 same over int, Fraction and QuadExt, which is how the Binet machinery reuses
 one multiplication code path. int and Fraction coefficients may mix; division
-promotes an int norm to Fraction, so no coefficient ever becomes a float.
+and the dual-complex conjugate scale by the exact reciprocal Fraction(1)/|z1|^2,
+so no coefficient ever becomes a float.
 """
 
 from __future__ import annotations
@@ -41,20 +42,6 @@ class Conjugation(Enum):
     COUPLED = 3
     DUAL_COMPLEX = 4
     ANTI_DUAL = 5
-
-
-def _cmul(x: tuple, y: tuple) -> tuple:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _cdiv(x: tuple, y: tuple) -> tuple:
-    norm = y[0] * y[0] + y[1] * y[1]
-    if isinstance(norm, int):
-        norm = Fraction(norm)  # int / int would be a float
-    return (
-        (x[0] * y[0] + x[1] * y[1]) / norm,
-        (x[1] * y[0] - x[0] * y[1]) / norm,
-    )
 
 
 @dataclass(frozen=True)
@@ -145,9 +132,11 @@ class DualComplex:
             raise NonInvertibleError(
                 "dual-complex conjugation and division need a nonzero complex part"
             )
-        quot = _cdiv((d, di), (r, i))          # z2/z1
-        t = _cmul((r, -i), quot)               # z1* * (z2/z1)
-        return DualComplex(r, -i, -t[0], -t[1])
+        # z1* (1 - eps z2/z1) = z1* - eps z2 (z1*)^2 / |z1|^2, with (z1*)^2 = c0 + c1 i
+        rr, ii = r * r, i * i
+        c0, c1 = rr - ii, -2 * r * i
+        inv = Fraction(1) / (rr + ii)
+        return DualComplex(r, -i, (di * c1 - d * c0) * inv, -(d * c1 + di * c0) * inv)
 
     def norm_product(self, kind: Conjugation) -> "DualComplex":
         """The exact product w * conj(w) whose square root would be the norm."""

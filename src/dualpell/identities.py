@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 
 from .dualcomplex import DC_EPS, DC_I, DC_IEPS, Conjugation, DualComplex
 from .quaternions import binet_quaternion, gamma_closed
-from .scalars import positive_k
+from .scalars import exact_index
 from .sequences import Family, seq_binet, seq_prefix_sum, terms
 
 
@@ -438,10 +438,8 @@ def identity_sides(
             f"{ident.value} requires bindings {required}: "
             f"missing {missing or 'none'}, unexpected {extra or 'none'}"
         )
-    values = tuple(bindings[name] for name in entry.params)
-    if not all(type(value) is int for value in values):
-        raise ValueError(f"n, m and r must be int for {ident.value}: {dict(bindings)}")
-    t = terms(positive_k(bindings["k"])) if entry.uses_k else None  # type: ignore[arg-type]
+    values = tuple(exact_index(bindings[name]) for name in entry.params)  # type: ignore[arg-type]
+    t = terms(bindings["k"]) if entry.uses_k else None  # type: ignore[arg-type]
     if not entry.pre(*values):
         raise ValueError(f"bindings out of range for {ident.value}: {dict(bindings)}")
     return entry.sides(t, *values)

@@ -136,19 +136,19 @@ class Terms:
         return DualComplex(*self.row(family, j, 4))
 
 
-# The one memo of the engine. Its key is typed, so a float or bool k that
-# equals a cached int k still misses and is rejected by positive_k.
-@functools.lru_cache(maxsize=None, typed=True)
+_views = functools.cache(Terms)  # the one memo of the engine, keyed by the checked k
+
+
 def terms(k: Fraction | int) -> Terms:
-    """The term view of one positive int or Fraction k."""
-    return Terms(positive_k(k))
+    """The term view of one positive int or Fraction k, built once per value of k."""
+    return _views(positive_k(k))
 
 
 def seq_row(
     family: Family, k: Fraction | int, lo: int, count: int
 ) -> tuple[Fraction | int, ...]:
     """The terms S_lo ... S_{lo+count-1} of the family at k, read through terms(k)."""
-    return terms(positive_k(k)).row(family, exact_index(lo), exact_index(count))
+    return terms(k).row(family, exact_index(lo), exact_index(count, 0))
 
 
 def pell_term(k: Fraction | int, n: int) -> Fraction | int:

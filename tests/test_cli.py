@@ -115,8 +115,9 @@ def test_identity_missing_binding_exit_two(capsys):
 
 
 def test_identity_unknown_id_exit_two(capsys):
-    code, _, _ = run(capsys, "identity", "--id", "g99", "--k", "1", "--n", "1")
+    code, _, err = run(capsys, "identity", "--id", "g99", "--k", "1", "--n", "1")
     assert code == 2
+    assert "unknown identity id" in err
 
 
 def test_identity_out_of_range_exit_two(capsys):

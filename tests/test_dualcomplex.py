@@ -198,6 +198,8 @@ def test_division_and_conjugation_never_yield_floats(scalar):
         for result in [quotient] + [y.conjugate(kind) for kind in Conjugation]:
             assert not any(isinstance(c, float) for c in result.coefficients())
         assert quotient * y == x
+        r, i = y.real, y.imag
+        assert y.norm_product(Conjugation.DUAL_COMPLEX) == DualComplex(r * r + i * i, 0, 0, 0)
 
 
 def test_int_division_is_exact():

@@ -31,6 +31,7 @@ from dualpell import (
     seq_term,
     seq_term_fast,
     sweep,
+    terms,
 )
 from dualpell.identities import IdentityId
 
@@ -104,9 +105,9 @@ def test_catalog_sides_hold_no_float():
 
 
 def test_typed_row_memo_rejects_float_and_bool_k_that_equal_a_cached_k():
-    # An untyped memo would hand these the terms cached for k = 1 and k = 2.
-    # A lone int argument is its own lru_cache key, so only the Fraction
-    # spellings of 1 and 2 share a key with 1.0, 2.0 and True.
+    # A memo that looked k up before checking it would hand these the terms
+    # cached for k = 1 and k = 2, since 1.0, 2.0 and True equal and hash like
+    # 1, 2, Fraction(1) and Fraction(2).
     for k in (1, 2, Fraction(1), Fraction(2)):
         seq_row(Family.K_PELL, k, 0, 4)
         pell_term(k, 3)
@@ -122,8 +123,18 @@ def test_typed_row_memo_rejects_float_and_bool_k_that_equal_a_cached_k():
             with pytest.raises(ValueError, match="positive int or Fraction"):
                 read()
     # positive_k runs before the memo, so an unhashable k is no TypeError.
-    with pytest.raises(ValueError, match="positive int or Fraction"):
-        seq_row(Family.K_PELL, [2], 0, 1)
+    for read in (
+        lambda: seq_row(Family.K_PELL, [2], 0, 1),
+        lambda: pell_term([2], 3),
+        lambda: dc_number(Family.K_PELL, [2], 3),
+        lambda: seq_prefix_sum([2], 3),
+    ):
+        with pytest.raises(ValueError, match="positive int or Fraction"):
+            read()
+
+
+def test_one_term_view_per_value_of_k():
+    assert terms(Fraction(2)) is terms(2)
 
 
 @pytest.mark.parametrize("index", [3.0, 1.0, True])
@@ -152,6 +163,13 @@ def test_inexact_index_rejected_after_a_warm_read(read, index):
     read(int(index))
     with pytest.raises(ValueError, match="n must be int"):
         read(index)
+
+
+def test_seq_row_rejects_negative_count():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        seq_row(Family.K_PELL, 2, 5, -2)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        seq_row(Family.K_PELL_LUCAS, 2, 0, -1)
 
 
 @pytest.mark.parametrize("field", range(3))
