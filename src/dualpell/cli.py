@@ -211,15 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--format", choices=("json", "plain"), default="json")
     p_id.set_defaults(func=_cmd_identity)
 
+    grid = default_config()
     p_sweep = sub.add_parser("sweep", help="sweep identities over a parameter grid")
-    p_sweep.add_argument("--ids", type=_identity_ids, default=tuple(CATALOG))
+    p_sweep.add_argument("--ids", type=_identity_ids, default=grid.ids)
     p_sweep.add_argument(
-        "--k", type=lambda text: tuple(map(_k, text.split(","))), default=default_config().k_values
+        "--k", type=lambda text: tuple(map(_k, text.split(","))), default=grid.k_values
     )
-    p_sweep.add_argument("--n", type=_int_range, default=(0, 32))
-    p_sweep.add_argument("--m", type=_int_range, default=(0, 32))
-    p_sweep.add_argument("--r", type=_int_range, default=(1, 8))
-    p_sweep.add_argument("--max-counterexamples", type=_nonnegative_int, default=5)
+    p_sweep.add_argument("--n", type=_int_range, default=grid.n_range)
+    p_sweep.add_argument("--m", type=_int_range, default=grid.m_range)
+    p_sweep.add_argument("--r", type=_int_range, default=grid.r_range)
+    p_sweep.add_argument(
+        "--max-counterexamples", type=_nonnegative_int, default=grid.max_counterexamples
+    )
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--format", choices=("plain", "csv"), default="plain")
     p_sweep.set_defaults(func=_cmd_sweep)

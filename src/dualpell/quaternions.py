@@ -37,7 +37,12 @@ class PellQuaternion:
 
 
 def build_quaternion(family: Family, k: Fraction | int, n: int) -> PellQuaternion:
-    return PellQuaternion(dc_number(family, k, n), family, positive_k(k), n)
+    return PellQuaternion(dc_number(family, k, n), family, k, n)
+
+
+def _hat(root: QuadExt) -> DualComplex:
+    one = QuadExt(1, 0, root.d)
+    return DualComplex(one, root, root * root, root * root * root)
 
 
 def hat_pair(k: Fraction | int) -> tuple[DualComplex, DualComplex]:
@@ -47,12 +52,7 @@ def hat_pair(k: Fraction | int) -> tuple[DualComplex, DualComplex]:
     alpha^n and beta^n in the quaternion-level closed form.
     """
     alpha, beta = make_alpha_beta(k)
-
-    def hat(root: QuadExt) -> DualComplex:
-        one = QuadExt(1, 0, root.d)
-        return DualComplex(one, root, root * root, root * root * root)
-
-    return hat(alpha), hat(beta)
+    return _hat(alpha), _hat(beta)
 
 
 def binet_quaternion(k: Fraction | int, n: int) -> DualComplex:
@@ -63,8 +63,7 @@ def binet_quaternion(k: Fraction | int, n: int) -> DualComplex:
     """
     n = exact_index(n, 0)
     alpha, beta = make_alpha_beta(k)
-    ha, hb = hat_pair(k)
-    numerator = ha.scale(alpha**n) - hb.scale(beta**n)
+    numerator = _hat(alpha).scale(alpha**n) - _hat(beta).scale(beta**n)
     delta = alpha - beta
     return DualComplex(*(rationalize(c / delta) for c in numerator.coefficients()))
 

@@ -188,16 +188,20 @@ def positive_k(k: Fraction | int) -> Fraction | int:
     away bool, which subclasses int.
     """
     if type(k) not in _EXACT or k <= 0:
-        raise ValueError(f"k must be a positive int or Fraction, got {k!r}")
+        shown = str(k) if type(k) in _EXACT else repr(k)  # an exact k reads as typed: 0, -3/2
+        raise ValueError(f"k must be a positive int or Fraction, got {shown}")
     return k.numerator if k.denominator == 1 else k
 
 
-def exact_index(n: int, least: int | None = None) -> int:
-    """An index or count checked to be exactly an int (not a bool), and >= least if given."""
+def exact_index(n: int, least: int | None = None, name: str = "n") -> int:
+    """An index or count checked to be exactly an int (not a bool), and >= least if given.
+
+    ``name`` is the argument the error message names; it changes nothing else.
+    """
     if type(n) is not int:
-        raise ValueError(f"n must be int, got {n!r}")
+        raise ValueError(f"{name} must be int, got {n!r}")
     if least is not None and n < least:
-        raise ValueError(f"n must be >= {least}, got {n}")
+        raise ValueError(f"{name} must be >= {least}, got {n}")
     return n
 
 

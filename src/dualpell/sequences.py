@@ -148,7 +148,7 @@ def seq_row(
     family: Family, k: Fraction | int, lo: int, count: int
 ) -> tuple[Fraction | int, ...]:
     """The terms S_lo ... S_{lo+count-1} of the family at k, read through terms(k)."""
-    return terms(k).row(family, exact_index(lo), exact_index(count, 0))
+    return terms(k).row(family, exact_index(lo, name="lo"), exact_index(count, 0, "count"))
 
 
 def pell_term(k: Fraction | int, n: int) -> Fraction | int:
@@ -158,7 +158,7 @@ def pell_term(k: Fraction | int, n: int) -> Fraction | int:
 
 def seq_term(spec: SequenceSpec, n: int) -> Fraction | int:
     """The n-th term of the chosen family, exact, any integer index."""
-    return seq_row(spec.family, spec.k, n, 1)[0]
+    return terms(spec.k).row(spec.family, exact_index(n), 1)[0]
 
 
 def seq_term_fast(spec: SequenceSpec, n: int) -> Fraction | int:

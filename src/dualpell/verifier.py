@@ -42,9 +42,9 @@ class SweepConfig:
     max_counterexamples: int = 5
 
 
-def default_config(ids: Iterable[IdentityId] | None = None) -> SweepConfig:
+def default_config() -> SweepConfig:
     return SweepConfig(
-        ids=tuple(ids) if ids is not None else tuple(CATALOG),
+        ids=tuple(CATALOG),
         k_values=(1, 2, 3, 4),
         n_range=(0, 32),
         m_range=(0, 32),

@@ -45,6 +45,7 @@ def test_seq_rejects_nonpositive_k(capsys):
                        "--from", "0", "--to", "3")
     assert code == 2
     assert "positive" in err
+    assert err.rstrip().endswith("got 0") and "Fraction(" not in err
 
 
 def test_seq_rejects_reversed_range(capsys):
@@ -157,6 +158,12 @@ def test_sweep_single_identity_summary(capsys):
     code, out, _ = run(capsys, "sweep", "--ids", "g18", "--k", "1", "--n", "1..4")
     assert code == 0
     assert out.strip() == "g18 holds 4 0"
+
+
+def test_sweep_default_grid(capsys):
+    code, out, _ = run(capsys, "sweep", "--ids", "g9")
+    assert code == 0
+    assert out.strip() == "g9 holds 132 0"  # n in 0..32 at k = 1..4
 
 
 def test_sweep_writes_report_file(tmp_path, capsys):

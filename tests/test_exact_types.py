@@ -139,36 +139,36 @@ def test_one_term_view_per_value_of_k():
 
 @pytest.mark.parametrize("index", [3.0, 1.0, True])
 @pytest.mark.parametrize(
-    "read",
+    "read, name",
     [
-        lambda n: pell_term(2, n),
-        lambda n: dc_number(Family.K_PELL, 2, n),
-        lambda n: dc_number(Family.K_PELL_LUCAS, 2, n),
-        lambda n: seq_term(SequenceSpec(Family.K_PELL, 2), n),
-        lambda n: seq_term_fast(SequenceSpec(Family.K_PELL, 2), n),
-        lambda n: seq_row(Family.K_PELL, 2, n, 2),
-        lambda n: seq_row(Family.K_PELL, 2, 0, n),
-        lambda n: seq_binet(2, n),
-        lambda n: seq_prefix_sum(2, n),
-        lambda n: binet_quaternion(2, n),
+        (lambda n: pell_term(2, n), "n"),
+        (lambda n: dc_number(Family.K_PELL, 2, n), "n"),
+        (lambda n: dc_number(Family.K_PELL_LUCAS, 2, n), "n"),
+        (lambda n: seq_term(SequenceSpec(Family.K_PELL, 2), n), "n"),
+        (lambda n: seq_term_fast(SequenceSpec(Family.K_PELL, 2), n), "n"),
+        (lambda n: seq_row(Family.K_PELL, 2, n, 2), "lo"),
+        (lambda n: seq_row(Family.K_PELL, 2, 0, n), "count"),
+        (lambda n: seq_binet(2, n), "n"),
+        (lambda n: seq_prefix_sum(2, n), "n"),
+        (lambda n: binet_quaternion(2, n), "n"),
     ],
     ids=[
         "pell_term", "dc_number_pell", "dc_number_lucas", "seq_term", "seq_term_fast",
         "seq_row_lo", "seq_row_count", "seq_binet", "seq_prefix_sum", "binet_quaternion",
     ],
 )
-def test_inexact_index_rejected_after_a_warm_read(read, index):
+def test_inexact_index_rejected_after_a_warm_read(read, name, index):
     # The term view caches by index, and 3.0 == 3, True == 1 hash alike;
     # the other reads would truncate or take True as 1.
     read(int(index))
-    with pytest.raises(ValueError, match="n must be int"):
+    with pytest.raises(ValueError, match=f"^{name} must be int"):
         read(index)
 
 
 def test_seq_row_rejects_negative_count():
-    with pytest.raises(ValueError, match="n must be >= 0"):
+    with pytest.raises(ValueError, match="^count must be >= 0, got -2$"):
         seq_row(Family.K_PELL, 2, 5, -2)
-    with pytest.raises(ValueError, match="n must be >= 0"):
+    with pytest.raises(ValueError, match="^count must be >= 0"):
         seq_row(Family.K_PELL_LUCAS, 2, 0, -1)
 
 

@@ -190,8 +190,12 @@ def test_nonpositive_k_rejected():
     ],
 )
 def test_non_integral_or_inexact_bindings_rejected(ident, bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         identity_sides(ident, bad)
+    # Where the bad binding is m or r, the message names it.
+    for name in ("m", "r"):
+        if name in bad:
+            assert str(raised.value) == f"{name} must be int, got {bad[name]!r}"
 
 
 def test_int_and_fraction_bindings_accepted():

@@ -72,7 +72,7 @@ def test_alpha_beta_sum_and_product(k):
 
 @pytest.mark.parametrize("k", [0, -1, Fraction(-1, 2)])
 def test_alpha_beta_requires_positive_k(k):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"got {k}$"):  # an exact k shown as typed: 0, -1/2
         make_alpha_beta(k)
 
 
