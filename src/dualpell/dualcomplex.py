@@ -18,9 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Any
 
-from .scalars import QuadExt, parse_rational
-
-_SCALARS = (int, Fraction, QuadExt)
+from .scalars import _SCALARS, parse_rational
 
 
 class NonInvertibleError(ZeroDivisionError):
@@ -44,14 +42,24 @@ class Conjugation(Enum):
     ANTI_DUAL = 5
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DualComplex:
-    """w = real + imag*i + dual*eps + dual_imag*i*eps."""
+    """w = real + imag*i + dual*eps + dual_imag*i*eps over int, Fraction or QuadExt.
+
+    A float or bool coefficient raises TypeError. Immutable by convention.
+    """
 
     real: Any
     imag: Any
     dual: Any
     dual_imag: Any
+
+    def __init__(self, real: Any, imag: Any, dual: Any, dual_imag: Any) -> None:
+        if not (type(real) in _SCALARS and type(imag) in _SCALARS
+                and type(dual) in _SCALARS and type(dual_imag) in _SCALARS):
+            shown = ", ".join(type(c).__name__ for c in (real, imag, dual, dual_imag))
+            raise TypeError(f"DualComplex coefficients must be int, Fraction or QuadExt, got ({shown})")
+        self.real, self.imag, self.dual, self.dual_imag = real, imag, dual, dual_imag
 
     def complex_part(self) -> tuple:
         """z1 of the split w = z1 + eps*z2."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
@@ -22,18 +21,20 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` (decimal digits, q > 0) into a Fraction.
 
-    Rejects everything else: zero or signed denominators, decimals,
-    exponents, empty strings.
+    Rejects everything else with ValueError (zero or signed denominators,
+    decimals, exponents, empty strings) and a non-str with TypeError.
     """
+    if type(text) is not str:
+        raise TypeError(f"rational text must be str, got {type(text).__name__}")
     s = text.strip()
     if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"malformed rational: {text!r}")
     return Fraction(s)
 
 
-def render_rational(x: Fraction) -> str:
-    """Canonical text form: reduced, ``p`` or ``p/q`` with q > 0."""
-    return str(Fraction(x))
+def render_rational(x: QuadExt | Fraction | int) -> str:
+    """Canonical text form ``p`` or ``p/q`` (q > 0) of a value ``rationalize`` accepts."""
+    return str(rationalize(x))
 
 
 # The exact scalar types. The test is on the exact type, so a bool, which
@@ -56,7 +57,6 @@ def _rational_sqrt(x: Fraction | int) -> Fraction | int | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
 class QuadExt:
     """Field element a + b*sqrt(d) with rational a, b and fixed radicand d > 0.
 
@@ -65,23 +65,21 @@ class QuadExt:
     raises ValueError. Two elements may be combined only when their radicands
     agree (ints and Fractions are coerced). If d is a perfect rational square
     the value normalizes to b = 0, so structural equality is mathematical
-    equality in the degenerate case too.
+    equality in the degenerate case too. Immutable by convention.
     """
 
-    a: Fraction | int
-    b: Fraction | int
-    d: Fraction | int
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self) -> None:
-        if not (type(self.a) in _EXACT and type(self.b) in _EXACT and type(self.d) in _EXACT):
-            raise ValueError(f"QuadExt values must be int or Fraction, got {self!r}")
-        if self.d <= 0:
+    def __init__(self, a: Fraction | int, b: Fraction | int, d: Fraction | int) -> None:
+        if not (type(a) in _EXACT and type(b) in _EXACT and type(d) in _EXACT):
+            raise ValueError(f"QuadExt values must be int or Fraction, got QuadExt({a}, {b}, d={d})")
+        if d <= 0:
             raise ValueError("radicand must be positive")
-        if self.b:
-            root = _rational_sqrt(self.d)
+        if b:
+            root = _rational_sqrt(d)
             if root is not None:
-                object.__setattr__(self, "a", self.a + self.b * root)
-                object.__setattr__(self, "b", 0)
+                a, b = a + b * root, 0
+        self.a, self.b, self.d = a, b, d
 
     def _coerce(self, other: object) -> "QuadExt":
         if isinstance(other, QuadExt):
@@ -164,7 +162,7 @@ class QuadExt:
             if self.b == 0 and other.b == 0:
                 return self.a == other.a
             return self.d == other.d and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _EXACT:
             return self.b == 0 and self.a == other
         return NotImplemented
 
@@ -178,6 +176,10 @@ class QuadExt:
         if self.b == 0:
             return str(self.a)
         return f"{self.a} + {self.b}*sqrt({self.d})"
+
+
+# The scalar types a DualComplex coefficient may have, tested by exact type.
+_SCALARS = (*_EXACT, QuadExt)
 
 
 def positive_k(k: Fraction | int) -> Fraction | int:

@@ -1,5 +1,7 @@
 """Ring behaviour of dual-complex numbers: products, division, conjugations."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from dualpell import (
     Conjugation,
     DualComplex,
     NonInvertibleError,
+    QuadExt,
 )
 from support import random_dc, table_mul
 
@@ -206,3 +209,46 @@ def test_int_division_is_exact():
     q = DualComplex(1, 2, 3, 4) / DualComplex(3, 1, 0, 5)
     assert q.coefficients() == (Fraction(1, 2), Fraction(1, 2), Fraction(9, 5), Fraction(-1, 10))
     assert DualComplex(1, 2, 3, 4).conjugate(Conjugation.DUAL_COMPLEX).dual == Fraction(-7, 5)
+
+
+def test_repr_hash_and_equality_contract():
+    w = DualComplex(1, 2, 3, 4)
+    assert repr(w) == "DualComplex(real=1, imag=2, dual=3, dual_imag=4)"
+    assert hash(w) == hash(w.coefficients())
+    assert w != (1, 2, 3, 4)
+    assert w == DualComplex(Fraction(1), 2, QuadExt(3, 0, 2), 4)
+    assert hash(w) == hash(DualComplex(Fraction(1), 2, QuadExt(3, 0, 2), 4))
+
+
+VALUES = [DualComplex(1, Fraction(-2, 3), QuadExt(1, 2, 3), 4), QuadExt(Fraction(1, 2), -3, 5)]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=["DualComplex", "QuadExt"])
+def test_pickle_and_copy_round_trip(value):
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(value, protocol))
+        assert type(again) is type(value) and again == value
+    for again in (copy.copy(value), copy.deepcopy(value)):
+        assert type(again) is type(value) and again == value
+
+
+@pytest.mark.parametrize("value", VALUES, ids=["DualComplex", "QuadExt"])
+def test_unknown_attribute_rejected(value):
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_operations_leave_operands_unchanged():
+    rng = random.Random(10)
+    sample = [random_dc(rng) for _ in range(40)]
+    sample += [DualComplex(*(rng.randint(-9, 9) for _ in range(4))) for _ in range(40)]
+    for a, b in zip(sample, reversed(sample)):
+        before = (a.coefficients(), b.coefficients())
+        results = [a + b, a - b, -a, a * b, a.scale(Fraction(3, 7)), a.scale(QuadExt(1, 1, 2))]
+        if not b.has_zero_complex_part():
+            results.append(a / b)
+        for kind in Conjugation:
+            if kind is not Conjugation.DUAL_COMPLEX or not a.has_zero_complex_part():
+                results += [a.conjugate(kind), a.norm_product(kind)]
+        assert all(type(r) is DualComplex for r in results)
+        assert (a.coefficients(), b.coefficients()) == before

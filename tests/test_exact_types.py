@@ -25,6 +25,7 @@ from dualpell import (
     make_alpha_beta,
     pell_term,
     rationalize,
+    render_rational,
     seq_binet,
     seq_prefix_sum,
     seq_row,
@@ -225,11 +226,12 @@ def test_rationalize_rejects_bool_and_float(bad):
 
 @pytest.mark.parametrize(
     "op",
-    [lambda w, s: w * s, lambda w, s: s * w, lambda w, s: w.scale(s)],
-    ids=["mul", "rmul", "scale"],
+    [lambda w, s: w * s, lambda w, s: s * w, lambda w, s: w.scale(s), lambda w, s: w / s],
+    ids=["mul", "rmul", "scale", "div"],
 )
 @pytest.mark.parametrize("bad", [0.5, 2.0, True])
 def test_dual_complex_rejects_inexact_scalar(op, bad):
+    # Only the type is pinned: a scalar divisor fails in its own conjugate().
     with pytest.raises(TypeError):
         op(DualComplex(1, 2, 3, 4), bad)
 
@@ -239,3 +241,39 @@ def test_dual_complex_scales_by_exact_scalars():
     assert w * 2 == 2 * w == w.scale(2) == DualComplex(2, 4, 6, 8)
     assert w * Fraction(1, 2) == DualComplex(Fraction(1, 2), 1, Fraction(3, 2), 2)
     assert w.scale(QuadExt(3, 0, 2)) == DualComplex(3, 6, 9, 12)
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("bad", [0.5, 2.0, True])
+def test_dual_complex_constructor_rejects_inexact_coefficient(slot, bad):
+    values = [1, Fraction(1, 2), QuadExt(1, 1, 2), 3]
+    values[slot] = bad
+    with pytest.raises(TypeError, match="int, Fraction or QuadExt"):
+        DualComplex(*values)
+
+
+@pytest.mark.parametrize("bad", [0.5, True, 3, None])
+def test_from_json_dict_rejects_non_text_coefficient(bad):
+    obj = DualComplex(1, 2, 3, 4).to_json_dict()
+    obj["eps"] = bad
+    with pytest.raises(TypeError, match="must be str"):
+        DualComplex.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_render_rational_rejects_bool_and_float(bad):
+    with pytest.raises(TypeError):
+        render_rational(bad)
+
+
+def test_render_rational_takes_a_radical_free_quadext():
+    assert render_rational(QuadExt(Fraction(-4, 6), 0, 2)) == "-2/3"
+    assert render_rational(QuadExt(1, 1, 4)) == "3"  # sqrt(4) folds away
+    with pytest.raises(ValueError):
+        render_rational(QuadExt(1, 1, 2))
+
+
+def test_quadext_equality_takes_exact_scalars_only():
+    assert QuadExt(1, 0, 2) == 1 and QuadExt(Fraction(1, 2), 0, 2) == Fraction(1, 2)
+    assert QuadExt(1, 0, 2) != True  # noqa: E712 - the bool must not pass for 1
+    assert QuadExt(1, 0, 2) != 1.0
