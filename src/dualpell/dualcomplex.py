@@ -4,11 +4,11 @@ Multiplication follows i^2 = -1, eps^2 = 0, (i*eps)^2 = 0, i*eps = eps*i.
 Writing w = z1 + eps*z2 with complex z1, z2, an element is invertible exactly
 when z1 is nonzero; elements with z1 = 0 are zero divisors (eps is nilpotent).
 
-Coefficients are generic over an exact scalar ring: everything here works the
-same over int, Fraction and QuadExt, which is how the Binet machinery reuses
-one multiplication code path. int and Fraction coefficients may mix; division
-and the dual-complex conjugate scale by the exact reciprocal Fraction(1)/|z1|^2,
-so no coefficient ever becomes a float.
+Coefficients are generic over an exact scalar ring: one multiplication formula
+serves int, Fraction and QuadExt (over Q it runs on cleared int numerators),
+which is how the Binet machinery reuses it. int and Fraction coefficients may
+mix; division and the dual-complex conjugate scale by the exact reciprocal
+Fraction(1)/|z1|^2, so no coefficient ever becomes a float.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
-from .scalars import _SCALARS, parse_rational
+from .scalars import _SCALARS, QuadExt, parse_rational
 
 
 class NonInvertibleError(ZeroDivisionError):
@@ -76,6 +77,8 @@ class DualComplex:
         return not self.real and not self.imag
 
     def __add__(self, other: "DualComplex") -> "DualComplex":
+        if not isinstance(other, DualComplex):
+            return NotImplemented
         return DualComplex(
             self.real + other.real,
             self.imag + other.imag,
@@ -84,6 +87,8 @@ class DualComplex:
         )
 
     def __sub__(self, other: "DualComplex") -> "DualComplex":
+        if not isinstance(other, DualComplex):
+            return NotImplemented
         return DualComplex(
             self.real - other.real,
             self.imag - other.imag,
@@ -95,9 +100,14 @@ class DualComplex:
         return DualComplex(-self.real, -self.imag, -self.dual, -self.dual_imag)
 
     def scale(self, s: Any) -> "DualComplex":
-        """s * w for an int, Fraction or QuadExt s; a float or bool raises TypeError."""
+        """s * w for an int, Fraction or QuadExt s; a float or bool raises TypeError.
+
+        An integral Fraction scales as its int numerator, as positive_k takes k.
+        """
         if type(s) not in _SCALARS:
             raise TypeError(f"cannot scale a DualComplex by {type(s).__name__}")
+        if type(s) is Fraction and s.denominator == 1:
+            s = s.numerator
         return DualComplex(
             s * self.real, s * self.imag, s * self.dual, s * self.dual_imag
         )
@@ -105,14 +115,23 @@ class DualComplex:
     def __mul__(self, other: Any) -> "DualComplex":
         if not isinstance(other, DualComplex):
             return self.scale(other)
-        a1, a2, a3, a4 = self.coefficients()
-        b1, b2, b3, b4 = other.coefficients()
-        return DualComplex(
-            a1 * b1 - a2 * b2,
-            a1 * b2 + a2 * b1,
-            a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2,
-            a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2,
-        )
+        a1, a2, a3, a4 = self.real, self.imag, self.dual, self.dual_imag
+        b1, b2, b3, b4 = other.real, other.imag, other.dual, other.dual_imag
+        # Over Q (not all int, no QuadExt) the formula runs on int numerators over
+        # one denominator per operand, and each result is reduced once, by one gcd.
+        kinds = type(a1), type(a2), type(a3), type(a4), type(b1), type(b2), type(b3), type(b4)
+        rational = kinds.count(int) < 8 and QuadExt not in kinds
+        if rational:
+            a1, a2, a3, a4, da = _cleared(a1, a2, a3, a4)
+            b1, b2, b3, b4, db = _cleared(b1, b2, b3, b4)
+        c1 = a1 * b1 - a2 * b2
+        c2 = a1 * b2 + a2 * b1
+        c3 = a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2
+        c4 = a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2
+        if rational:
+            d = da * db
+            return DualComplex(Fraction(c1, d), Fraction(c2, d), Fraction(c3, d), Fraction(c4, d))
+        return DualComplex(c1, c2, c3, c4)
 
     def __rmul__(self, other: Any) -> "DualComplex":
         return self.scale(other)
@@ -123,6 +142,8 @@ class DualComplex:
         other times its dual-complex conjugate is the real |z3|^2, where z3 is
         the complex part of other, so q = self * conj(other) / |z3|^2.
         """
+        if not isinstance(other, DualComplex):
+            return NotImplemented
         conj = other.conjugate(Conjugation.DUAL_COMPLEX)
         return (self * conj).scale(Fraction(1) / (other.real**2 + other.imag**2))
 
@@ -172,6 +193,14 @@ class DualComplex:
             f"{self.real} + {self.imag}·i + {self.dual}·eps"
             f" + {self.dual_imag}·i·eps"
         )
+
+
+def _cleared(c1: Any, c2: Any, c3: Any, c4: Any) -> tuple:
+    """(n1, n2, n3, n4, d) with cj == nj / d, d the lcm of the int or Fraction cj's denominators."""
+    d = lcm(c1.denominator, c2.denominator, c3.denominator, c4.denominator)
+    n1, n2 = c1.numerator * (d // c1.denominator), c2.numerator * (d // c2.denominator)
+    n3, n4 = c3.numerator * (d // c3.denominator), c4.numerator * (d // c4.denominator)
+    return n1, n2, n3, n4, d
 
 
 DC_ZERO = DualComplex(0, 0, 0, 0)

@@ -62,7 +62,7 @@ class QuadExt:
 
     Each of a, b and d is an int or a Fraction, kept as given, so integer
     inputs stay in int arithmetic; anything else, a float or a bool above all,
-    raises ValueError. Two elements may be combined only when their radicands
+    raises TypeError. Two elements may be combined only when their radicands
     agree (ints and Fractions are coerced). If d is a perfect rational square
     the value normalizes to b = 0, so structural equality is mathematical
     equality in the degenerate case too. Immutable by convention.
@@ -72,7 +72,7 @@ class QuadExt:
 
     def __init__(self, a: Fraction | int, b: Fraction | int, d: Fraction | int) -> None:
         if not (type(a) in _EXACT and type(b) in _EXACT and type(d) in _EXACT):
-            raise ValueError(f"QuadExt values must be int or Fraction, got QuadExt({a}, {b}, d={d})")
+            raise TypeError(f"QuadExt values must be int or Fraction, got QuadExt({a}, {b}, d={d})")
         if d <= 0:
             raise ValueError("radicand must be positive")
         if b:

@@ -178,7 +178,7 @@ def test_seq_row_rejects_negative_count():
 def test_quadext_rejects_inexact_coefficient(field, bad):
     values = [Fraction(1, 3), 1, 2]
     values[field] = bad
-    with pytest.raises(ValueError, match="int or Fraction"):
+    with pytest.raises(TypeError, match="int or Fraction"):
         QuadExt(*values)
 
 
@@ -231,9 +231,19 @@ def test_rationalize_rejects_bool_and_float(bad):
 )
 @pytest.mark.parametrize("bad", [0.5, 2.0, True])
 def test_dual_complex_rejects_inexact_scalar(op, bad):
-    # Only the type is pinned: a scalar divisor fails in its own conjugate().
+    # Only the type is pinned: `/` declines every scalar divisor.
     with pytest.raises(TypeError):
         op(DualComplex(1, 2, 3, 4), bad)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda w: w + 1, lambda w: 1 + w, lambda w: w - Fraction(1, 2), lambda w: w / 2],
+    ids=["add", "radd", "sub", "div"],
+)
+def test_dual_complex_sum_difference_and_quotient_decline_scalars(op):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(DualComplex(1, 2, 3, 4))
 
 
 def test_dual_complex_scales_by_exact_scalars():

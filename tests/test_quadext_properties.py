@@ -1,4 +1,4 @@
-"""Properties of the exact quadratic field Q(sqrt(d)) and of DualComplex over it.
+"""Properties of the exact quadratic field Q(sqrt(d)) and of DualComplex over it and over Q.
 
 Coefficients mix int and Fraction; the radicands are non-squares (2, 5, 7/3)
 and perfect squares (4, 9/4), whose elements fold to b = 0.
@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualpell import DualComplex, QuadExt
+from support import table_mul
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -102,3 +103,50 @@ def test_dual_complex_ring_laws_over_quadratic_coefficients(xyz):
     quotient = x / y
     assert_exact(quotient)
     assert quotient * y == x
+
+
+fraction_values = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+# int, integral and non-integral Fraction, zero and negatives included
+mixed = st.one_of(
+    st.integers(-60, 60),
+    st.builds(Fraction, st.integers(-60, 60)),
+    fraction_values,
+    st.sampled_from([0, Fraction(0)]),
+)
+mixed_dual_complex = st.builds(DualComplex, mixed, mixed, mixed, mixed)
+int_dual_complex = st.builds(DualComplex, *[st.integers(-60, 60)] * 4)
+fraction_dual_complex = st.builds(DualComplex, *[fraction_values] * 4)
+
+
+@SEEDED
+@given(mixed_dual_complex, mixed_dual_complex)
+def test_products_over_q_match_the_table_oracle(x, y):
+    product = x * y
+    assert product == table_mul(x, y) == y * x
+    assert_exact(product)
+
+
+@SEEDED
+@given(int_dual_complex, fraction_dual_complex)
+def test_int_times_rational_products_match_the_table_oracle(x, y):
+    product = x * y
+    assert product == table_mul(x, y) == y * x
+    assert_exact(product)
+
+
+def test_quadext_beside_fraction_coefficients_takes_the_ring_expression():
+    x = DualComplex(QuadExt(1, 2, 3), Fraction(1, 2), 0, Fraction(-5, 4))
+    y = DualComplex(Fraction(2, 3), 1, QuadExt(0, Fraction(1, 3), 3), Fraction(-1, 4))
+    product = x * y
+    assert product == table_mul(x, y) == y * x
+    assert_exact(product)
+
+
+@SEEDED
+@given(st.one_of(mixed_dual_complex, int_dual_complex), st.integers(-60, 60))
+def test_scaling_by_an_integral_fraction_is_scaling_by_its_int(w, n):
+    scaled = w.scale(Fraction(n))
+    assert scaled == w.scale(n) == w * Fraction(n) == Fraction(n) * w
+    assert_exact(scaled)
+    if all(type(c) is int for c in w.coefficients()):
+        assert all(type(c) is int for c in scaled.coefficients()), scaled
