@@ -161,11 +161,19 @@ class DualComplex:
             raise NonInvertibleError(
                 "dual-complex conjugation and division need a nonzero complex part"
             )
-        # z1* (1 - eps z2/z1) = z1* - eps z2 (z1*)^2 / |z1|^2, with (z1*)^2 = c0 + c1 i
-        rr, ii = r * r, i * i
-        c0, c1 = rr - ii, -2 * r * i
-        inv = Fraction(1) / (rr + ii)
-        return DualComplex(r, -i, (di * c1 - d * c0) * inv, -(d * c1 + di * c0) * inv)
+        # z1* (1 - eps z2/z1) = z1* - eps z2 (z1*)^2 / |z1|^2, with (z1*)^2 = c0 + c1 i;
+        # over Q on the int numerators of all four over one D, so each eps slot
+        # is one Fraction over D |Z1|^2, where Z1 = D z1.
+        rational = QuadExt not in (type(r), type(i), type(d), type(di))
+        a, b, c, e, den = _cleared(r, i, d, di) if rational else (r, i, d, di, 1)
+        aa, bb = a * a, b * b
+        c0, c1 = aa - bb, -2 * a * b
+        x, y = e * c1 - c * c0, -(c * c1 + e * c0)
+        if rational:
+            den *= aa + bb
+            return DualComplex(r, -i, Fraction(x, den), Fraction(y, den))
+        inv = Fraction(1) / (aa + bb)
+        return DualComplex(r, -i, x * inv, y * inv)
 
     def norm_product(self, kind: Conjugation) -> "DualComplex":
         """The exact product w * conj(w) whose square root would be the norm."""

@@ -5,8 +5,9 @@ its right side from the closed form, through structurally independent code,
 so an exact mismatch points at the identity itself rather than at a shared
 bug. Scalar identities are embedded as dual-complex values with zero i, eps
 and i*eps slots so a single report format covers the whole catalog. Each
-entry's ``sides(t, n, ...)`` reads its terms from ``t = terms(k)`` and takes
-its integer bindings as arguments, in the order of the entry's ``params``.
+entry's ``sides(t, n, ...)`` reads its terms, products Q_a Q_b and gamma from
+a view ``t = Terms(k)`` made for the evaluation, and takes its integer
+bindings as arguments, in the order of the entry's ``params``.
 
 Two entries (ring_axioms, div_roundtrip) are sample-based rather than
 grid-based: they take no k (``t`` is None) and the integer binding n selects
@@ -23,9 +24,9 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .dualcomplex import DC_EPS, DC_I, DC_IEPS, Conjugation, DualComplex
-from .quaternions import binet_quaternion, gamma_closed
-from .scalars import exact_index
-from .sequences import Family, seq_binet, seq_prefix_sum, terms
+from .quaternions import binet_quaternion
+from .scalars import exact_index, positive_k
+from .sequences import Family, Terms, seq_binet, seq_prefix_sum
 
 
 Bindings = Mapping[str, object]
@@ -158,8 +159,7 @@ def _sides_f31(t, n):
 # --- quaternion identities (G9-G19) ------------------------------------------
 
 def _sides_g10(t, n):
-    q1, q0 = t.q(n + 1), t.q(n)
-    lhs = q1 * q1 + (q0 * q0).scale(t.k)
+    lhs = t.qq(n + 1, n + 1) + t.qq(n, n).scale(t.k)
     tail = _dc(
         -t.p(2 * n + 3),
         t.p(2 * n + 2),
@@ -170,8 +170,7 @@ def _sides_g10(t, n):
 
 
 def _sides_g11(t, n):
-    hi, lo = t.q(n + 1), t.q(n - 1)
-    lhs = hi * hi - (lo * lo).scale(t.k * t.k)
+    lhs = t.qq(n + 1, n + 1) - t.qq(n - 1, n - 1).scale(t.k * t.k)
     # Q_{n+1} - kQ_{n-1} = 2Q_n and the ring commutes, so the left side is
     # 2(kQ_{n-1}Q_n + Q_nQ_{n+1}): twice g13 at m = n, whose tail gives this one.
     tail = _dc(
@@ -195,7 +194,7 @@ def _sides_g12(t, n):
 
 def _sides_g13(t, n, m):
     s = n + m
-    lhs = (t.q(n - 1) * t.q(m)).scale(t.k) + t.q(n) * t.q(m + 1)
+    lhs = t.qq(n - 1, m).scale(t.k) + t.qq(n, m + 1)
     tail = _dc(-t.p(s + 2), t.p(s + 1), t.p(s + 2) - 2 * t.p(s + 4), 3 * t.p(s + 3))
     return lhs, t.q(s) + tail
 
@@ -208,26 +207,23 @@ def _sides_g14(t, n):
 
 
 def _sides_g17(t, n, m):
-    lhs = t.q(m) * t.q(n + 1) - t.q(m + 1) * t.q(n)
-    factor = _sign(n) * t.k**n * t.p(m - n)
-    return lhs, gamma_closed(t.k).scale(factor)
+    lhs = t.qq(m, n + 1) - t.qq(m + 1, n)
+    return lhs, t.gamma.scale(_sign(n) * t.k**n * t.p(m - n))
 
 
 def _sides_g18(t, n):
-    lhs = t.q(n - 1) * t.q(n + 1) - t.q(n) * t.q(n)
-    return lhs, gamma_closed(t.k).scale(_sign(n) * t.k ** (n - 1))
+    lhs = t.qq(n - 1, n + 1) - t.qq(n, n)
+    return lhs, t.gamma.scale(_sign(n) * t.k ** (n - 1))
 
 
 def _sides_g19_stated(t, n, r):
-    lhs = t.q(n) * t.q(n) - t.q(n + r) * t.q(n - r)
-    factor = (-t.k) ** (n - r + 1) * t.p(r) ** 2
-    return lhs, gamma_closed(t.k).scale(factor)
+    lhs = t.qq(n, n) - t.qq(n + r, n - r)
+    return lhs, t.gamma.scale((-t.k) ** (n - r + 1) * t.p(r) ** 2)
 
 
 def _sides_g19_proof(t, n, r):
-    lhs = t.q(n - r) * t.q(n + r) - t.q(n) * t.q(n)
-    factor = _sign(n - r + 1) * t.k ** (n - r) * t.p(r) ** 2
-    return lhs, gamma_closed(t.k).scale(factor)
+    lhs = t.qq(n - r, n + r) - t.qq(n, n)
+    return lhs, t.gamma.scale(_sign(n - r + 1) * t.k ** (n - r) * t.p(r) ** 2)
 
 
 # --- scalar helper identities from the quaternion proofs ---------------------
@@ -409,7 +405,7 @@ def identity_sides(
             f"missing {missing or 'none'}, unexpected {extra or 'none'}"
         )
     values = tuple(exact_index(bindings[name], name=name) for name in entry.params)  # type: ignore[arg-type]
-    t = terms(bindings["k"]) if entry.uses_k else None  # type: ignore[arg-type]
+    t = Terms(positive_k(bindings["k"])) if entry.uses_k else None  # type: ignore[arg-type]
     if not entry.pre(*values):
         raise ValueError(f"bindings out of range for {ident.value}: {dict(bindings)}")
     return entry.sides(t, *values)

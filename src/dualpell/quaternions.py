@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dualcomplex import DualComplex
-from .scalars import QuadExt, exact_index, make_alpha_beta, positive_k, rationalize
-from .sequences import Family, dc_number
+from .scalars import QuadExt, exact_index, make_alpha_beta, rationalize
+from .sequences import Family, dc_number, terms
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,8 @@ def binet_quaternion(k: Fraction | int, n: int) -> DualComplex:
 
 
 def gamma_closed(k: Fraction | int) -> DualComplex:
-    """Polynomial form (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps."""
-    k = positive_k(k)
-    return DualComplex(1 + k, 2, 2 * k * k + 6 * k + 4, 4 * k + 8)
+    """Polynomial form (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps, read as terms(k).gamma."""
+    return terms(k).gamma
 
 
 def gamma_coefficient(k: Fraction | int) -> DualComplex:

@@ -97,6 +97,8 @@ def _pell_row(p: int, q: int, lo: int, count: int) -> tuple[Fraction | int, ...]
 class _ByIndex(dict):
     """Values by integer index, each built once by ``build`` on its first read."""
 
+    __slots__ = ("build",)
+
     def __init__(self, build) -> None:
         self.build = build
 
@@ -105,21 +107,36 @@ class _ByIndex(dict):
         return value
 
 
+@functools.cache
+def _shared(k: Fraction | int) -> tuple:
+    """(p, q, gamma) of one checked k, built once and read by every view of k."""
+    row = functools.partial(_pell_row, k.numerator, k.denominator)
+    p = _ByIndex(lambda j: row(j, 1)[0]).__getitem__
+    q = _ByIndex(lambda j: DualComplex(*row(j, 4))).__getitem__
+    return p, q, DualComplex(1 + k, 2, 2 * k * k + 6 * k + 4, 4 * k + 8)
+
+
 class Terms:
-    """The sequence terms at one k, read by index.
+    """The sequence terms at one checked k, read by index.
 
     p(j) is P_j and q(j) the k-Pell dual-complex number at j, each built once
-    per j; d(family, j) is that number for any family, and row(family, lo,
-    count) a stretch of consecutive terms, built on every call.
+    per j and shared by every view of k, as is gamma, (1+k) + 2i + (2k^2+6k+4)
+    eps + (4k+8) i eps. d(family, j) is that number for any family and
+    row(family, lo, count) a stretch of terms, built on every call. qq(a, b)
+    is Q_a Q_b, built once per unordered pair and held by this view alone, so
+    an evaluator that makes its own Terms(k) drops the products with it.
     """
 
-    __slots__ = ("k", "p", "q")
+    __slots__ = ("k", "p", "q", "gamma", "_qq")
 
     def __init__(self, k: Fraction | int) -> None:
         self.k = k
-        row = functools.partial(_pell_row, k.numerator, k.denominator)
-        self.p = _ByIndex(lambda j: row(j, 1)[0]).__getitem__
-        self.q = _ByIndex(lambda j: DualComplex(*row(j, 4))).__getitem__
+        self.p, self.q, self.gamma = _shared(k)
+        q = self.q
+        self._qq = _ByIndex(lambda ab: q(ab[0]) * q(ab[1]))
+
+    def qq(self, a: int, b: int) -> DualComplex:
+        return self._qq[(a, b) if a <= b else (b, a)]
 
     def row(self, family: Family, lo: int, count: int) -> tuple[Fraction | int, ...]:
         """S_lo ... S_{lo+count-1}: an int for integer k and index >= 0, else a Fraction."""
@@ -136,7 +153,7 @@ class Terms:
         return DualComplex(*self.row(family, j, 4))
 
 
-_views = functools.cache(Terms)  # the one memo of the engine, keyed by the checked k
+_views = functools.cache(Terms)  # the shared view of each checked k
 
 
 def terms(k: Fraction | int) -> Terms:

@@ -21,7 +21,7 @@ from typing import Iterable
 from .dualcomplex import DualComplex
 from .identities import CATALOG, IdentityId, identity_sides
 from .scalars import positive_k
-from .sequences import terms
+from .sequences import Terms
 
 _CATALOG_ORDER = {ident: pos for pos, ident in enumerate(CATALOG)}
 
@@ -107,7 +107,7 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
         failures = 0
         counterexamples: list[Counterexample] = []
         for k in ks:
-            t = terms(k) if entry.uses_k else None
+            t = Terms(k) if entry.uses_k else None  # its products go with it
             for values in grid:
                 try:
                     lhs, rhs = entry.sides(t, *values)

@@ -20,6 +20,8 @@ from dualpell import (
     seq_term,
     terms,
 )
+from dualpell.scalars import positive_k
+from dualpell.sequences import Terms
 from support import naive_pell_row
 
 SEEDED = settings(derandomize=True, database=None, deadline=None)
@@ -80,3 +82,11 @@ def test_term_view_reads_the_rows(k, j, family):
     assert t.p(j) == seq_row(Family.K_PELL, k, j, 1)[0]
     assert t.q(j) == DualComplex(*seq_row(Family.K_PELL, k, j, 4))
     assert t.d(family, j) == DualComplex(*seq_row(family, k, j, 4))
+
+
+@SEEDED
+@given(st.one_of(st.integers(1, 50), ks), st.integers(-20, 60), st.integers(-20, 60))
+def test_product_memo_is_the_product_in_either_order(k, a, b):
+    t = Terms(positive_k(k))
+    assert t.qq(a, b) == t.q(a) * t.q(b) == t.qq(b, a)
+    assert t.qq(b, a) is t.qq(a, b)

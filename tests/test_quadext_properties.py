@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dualpell import DualComplex, QuadExt
+from dualpell import Conjugation, DualComplex, QuadExt, rationalize
 from support import table_mul
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -150,3 +150,15 @@ def test_scaling_by_an_integral_fraction_is_scaling_by_its_int(w, n):
     assert_exact(scaled)
     if all(type(c) is int for c in w.coefficients()):
         assert all(type(c) is int for c in scaled.coefficients()), scaled
+
+
+@SEEDED
+@given(mixed_dual_complex, st.sampled_from(NON_SQUARES))
+def test_dual_complex_conjugate_over_q_matches_the_quadratic_route(w, d):
+    assume(not w.has_zero_complex_part())
+    conj = w.conjugate(Conjugation.DUAL_COMPLEX)
+    lifted = DualComplex(*(QuadExt(c, 0, d) for c in w.coefficients()))
+    route = lifted.conjugate(Conjugation.DUAL_COMPLEX)
+    assert conj == DualComplex(*(rationalize(c) for c in route.coefficients()))
+    assert w * conj == DualComplex(w.real**2 + w.imag**2, 0, 0, 0)
+    assert_exact(conj)

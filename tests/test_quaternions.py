@@ -16,6 +16,7 @@ from dualpell import (
     hat_pair,
     make_alpha_beta,
     rationalize,
+    terms,
 )
 
 
@@ -109,7 +110,7 @@ def test_gamma_fixtures():
 
 def test_gamma_internal_assertion_over_k():
     for k in list(range(1, 11)) + [Fraction(1, 2), Fraction(22, 7)]:
-        assert gamma_coefficient(k) == gamma_closed(k)
+        assert terms(k).gamma == gamma_closed(k) == gamma_coefficient(k)
 
 
 def test_gamma_eps_slot_symbolically():
