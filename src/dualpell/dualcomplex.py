@@ -7,8 +7,13 @@ when z1 is nonzero; elements with z1 = 0 are zero divisors (eps is nilpotent).
 Coefficients are generic over an exact scalar ring: one multiplication formula
 serves int, Fraction and QuadExt (over Q it runs on cleared int numerators),
 which is how the Binet machinery reuses it. int and Fraction coefficients may
-mix; division and the dual-complex conjugate scale by the exact reciprocal
-Fraction(1)/|z1|^2, so no coefficient ever becomes a float.
+mix. Over Q, division and the dual-complex conjugate run on the cleared int
+numerators too, and each result slot is one Fraction: a conjugate's eps slot
+is one over D |Z1|^2 and a quotient w / v one D c / (D_w |Z1|^4), where D and
+D_w are the common denominators of v and w, Z1 = D z1 is v's cleared complex
+part and c is an int slot of the cleared product. With a QuadExt
+coefficient both scale by the exact reciprocal Fraction(1)/|z1|^2. No
+coefficient ever becomes a float.
 """
 
 from __future__ import annotations
@@ -140,12 +145,23 @@ class DualComplex:
         """Quotient q with q * other == self; other needs a nonzero complex part.
 
         other times its dual-complex conjugate is the real |z3|^2, where z3 is
-        the complex part of other, so q = self * conj(other) / |z3|^2.
+        the complex part of other, so q = self * conj(other) / |z3|^2. Over Q
+        the product runs on int numerators and each slot is one Fraction.
         """
         if not isinstance(other, DualComplex):
             return NotImplemented
-        conj = other.conjugate(Conjugation.DUAL_COMPLEX)
-        return (self * conj).scale(Fraction(1) / (other.real**2 + other.imag**2))
+        coefficients = (*self.coefficients(), *other.coefficients())
+        if QuadExt in map(type, coefficients):
+            conj = other.conjugate(Conjugation.DUAL_COMPLEX)
+            return (self * conj).scale(Fraction(1) / (other.real**2 + other.imag**2))
+        # With other = (a, b, c, e)/D, N = a^2 + b^2 and x + yi its eps slot's
+        # numerator, conj(other)/|z3|^2 is D (aN, -bN, x, y)/N^2.
+        *s, ds = _cleared(*coefficients[:4])
+        a, b, c, e, d = _cleared(*coefficients[4:])
+        x, y, n = _conjugate_eps(a, b, c, e)
+        product = DualComplex(*s) * DualComplex(a * n, -b * n, x, y)
+        den = ds * n * n
+        return DualComplex(*(Fraction(d * num, den) for num in product.coefficients()))
 
     def conjugate(self, kind: Conjugation) -> "DualComplex":
         r, i, d, di = self.coefficients()
@@ -157,22 +173,15 @@ class DualComplex:
             return DualComplex(r, -i, -d, di)
         if kind is Conjugation.ANTI_DUAL:
             return DualComplex(d, di, -r, -i)
-        if self.has_zero_complex_part():
-            raise NonInvertibleError(
-                "dual-complex conjugation and division need a nonzero complex part"
-            )
-        # z1* (1 - eps z2/z1) = z1* - eps z2 (z1*)^2 / |z1|^2, with (z1*)^2 = c0 + c1 i;
-        # over Q on the int numerators of all four over one D, so each eps slot
+        # Over Q on the int numerators of all four over one D, so each eps slot
         # is one Fraction over D |Z1|^2, where Z1 = D z1.
         rational = QuadExt not in (type(r), type(i), type(d), type(di))
         a, b, c, e, den = _cleared(r, i, d, di) if rational else (r, i, d, di, 1)
-        aa, bb = a * a, b * b
-        c0, c1 = aa - bb, -2 * a * b
-        x, y = e * c1 - c * c0, -(c * c1 + e * c0)
+        x, y, n = _conjugate_eps(a, b, c, e)
         if rational:
-            den *= aa + bb
+            den *= n
             return DualComplex(r, -i, Fraction(x, den), Fraction(y, den))
-        inv = Fraction(1) / (aa + bb)
+        inv = Fraction(1) / n
         return DualComplex(r, -i, x * inv, y * inv)
 
     def norm_product(self, kind: Conjugation) -> "DualComplex":
@@ -209,6 +218,23 @@ def _cleared(c1: Any, c2: Any, c3: Any, c4: Any) -> tuple:
     n1, n2 = c1.numerator * (d // c1.denominator), c2.numerator * (d // c2.denominator)
     n3, n4 = c3.numerator * (d // c3.denominator), c4.numerator * (d // c4.denominator)
     return n1, n2, n3, n4, d
+
+
+def _conjugate_eps(a: Any, b: Any, c: Any, e: Any) -> tuple:
+    """(x, y, n) with conj(w) = z1* + eps (x + yi)/n for z1 = a + bi, z2 = c + ei.
+
+    For w = z1 + eps z2, conj(w) = z1* (1 - eps z2/z1) = z1* - eps z2 (z1*)^2 / |z1|^2,
+    so n = |z1|^2 and x + yi = -z2 (z1*)^2, with (z1*)^2 = c0 + c1 i. n = 0 raises
+    NonInvertibleError.
+    """
+    aa, bb = a * a, b * b
+    n = aa + bb
+    if not n:
+        raise NonInvertibleError(
+            "dual-complex conjugation and division need a nonzero complex part"
+        )
+    c0, c1 = aa - bb, -2 * a * b
+    return e * c1 - c * c0, -(c * c1 + e * c0), n
 
 
 DC_ZERO = DualComplex(0, 0, 0, 0)

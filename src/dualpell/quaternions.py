@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dualcomplex import DualComplex
-from .scalars import QuadExt, exact_index, make_alpha_beta, rationalize
+from .scalars import QuadExt, _cleared_roots, exact_index, make_alpha_beta, rationalize
 from .sequences import Family, dc_number, terms
 
 
@@ -59,13 +59,16 @@ def binet_quaternion(k: Fraction | int, n: int) -> DualComplex:
     """Closed form (hat_alpha * alpha^n - hat_beta * beta^n) / (alpha - beta).
 
     Evaluated exactly over quadratic scalars and collapsed coefficient-wise
-    to rationals; equals build_quaternion(K_PELL, k, n).value.
+    to Fractions; equals build_quaternion(K_PELL, k, n).value. With k = p/q
+    it runs on rho = q alpha and rho_bar = q beta, the roots q +/- sqrt(q(p+q))
+    of x^2 = 2qx + pq, in int arithmetic: slot j of the quotient is
+    A_{n+j} = q^(n+j-1) P_{n+j}, and rho - rho_bar and q^(n+j-1) are divided
+    out at the end, in one Fraction per slot.
     """
     n = exact_index(n, 0)
-    alpha, beta = make_alpha_beta(k)
-    numerator = _hat(alpha).scale(alpha**n) - _hat(beta).scale(beta**n)
-    delta = alpha - beta
-    return DualComplex(*(rationalize(c / delta) for c in numerator.coefficients()))
+    rho, rho_bar, unclear = _cleared_roots(k)
+    numerator = _hat(rho).scale(rho**n) - _hat(rho_bar).scale(rho_bar**n)
+    return DualComplex(*(unclear(c, n + j) for j, c in enumerate(numerator.coefficients())))
 
 
 def gamma_closed(k: Fraction | int) -> DualComplex:

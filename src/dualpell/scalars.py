@@ -3,9 +3,10 @@
 Rationals are stdlib ``fractions.Fraction`` values (always reduced, positive
 denominator, exact equality). ``QuadExt`` adds a single square root over
 int or Fraction coefficients so the characteristic roots 1 +/- sqrt(1+k) of
-x^2 = 2x + k can be manipulated exactly, in plain int arithmetic for integer
-k; when 1+k happens to be a perfect rational square the radical is folded
-away so equality stays coefficient-wise decidable.
+x^2 = 2x + k can be manipulated exactly. For k = p/q the Binet forms run on
+q times those roots, q +/- sqrt(q(p+q)), in plain int arithmetic at every k;
+when the radicand happens to be a perfect rational square the radical is
+folded away so equality stays coefficient-wise decidable.
 """
 
 from __future__ import annotations
@@ -214,6 +215,29 @@ def make_alpha_beta(k: Fraction | int) -> tuple[QuadExt, QuadExt]:
     """
     d = 1 + positive_k(k)
     return QuadExt(1, 1, d), QuadExt(1, -1, d)
+
+
+def _cleared_roots(k: Fraction | int) -> tuple:
+    """(rho, rho_bar, unclear): the roots q +/- sqrt(q(p+q)) of x^2 = 2qx + pq, for k = p/q.
+
+    They are q alpha and q beta, with int coefficients and radicand at every k,
+    so their powers stay in int arithmetic. unclear(c, m) is the Fraction
+    c / ((rho - rho_bar) q^(m-1)): c times the conjugate of rho - rho_bar, over
+    its int norm and q^(m-1), with one gcd. Since (rho^m - rho_bar^m)/(rho - rho_bar)
+    is the cleared term A_m = q^(m-1) P_m, unclear(rho^m - rho_bar^m, m) is P_m.
+    At q = 1 the roots are make_alpha_beta(k). Requires k > 0.
+    """
+    k = positive_k(k)
+    p, q = k.numerator, k.denominator
+    d = q * (p + q)
+    rho, rho_bar = QuadExt(q, 1, d), QuadExt(q, -1, d)
+    conj = (rho - rho_bar).conjugate()
+    norm = rationalize((rho - rho_bar) * conj).numerator
+
+    def unclear(c: QuadExt, m: int) -> Fraction:
+        return Fraction(q * rationalize(c * conj).numerator, norm * q**m)
+
+    return rho, rho_bar, unclear
 
 
 def rationalize(x: QuadExt | Fraction | int) -> Fraction:

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .dualcomplex import DualComplex
-from .scalars import exact_index, make_alpha_beta, positive_k, rationalize
+from .scalars import _cleared_roots, exact_index, positive_k
 
 
 class Family(Enum):
@@ -107,31 +107,54 @@ class _ByIndex(dict):
         return value
 
 
+def _family_row(
+    family: Family, k: Fraction | int, lo: int, count: int
+) -> tuple[Fraction | int, ...]:
+    """S_lo ... S_{lo+count-1} of the family at k: P itself, or PL and MP by their rule from P."""
+    p, q = k.numerator, k.denominator
+    if family is Family.K_PELL:
+        return _pell_row(p, q, lo, count)
+    row = _pell_row(p, q, lo, count + 1)
+    scale = 2 if family is Family.K_PELL_LUCAS else 1
+    return tuple(scale * (b - a) for a, b in zip(row, row[1:]))
+
+
+def _family_numbers(family: Family, k: Fraction | int):
+    """The PL or MP dual-complex number at k by index, each built once from the family rule."""
+    return _ByIndex(lambda j: DualComplex(*_family_row(family, k, j, 4))).__getitem__
+
+
 @functools.cache
-def _shared(k: Fraction | int) -> tuple:
-    """(p, q, gamma) of one checked k, built once and read by every view of k."""
+def _shared(k: Fraction | int) -> list:
+    """[p, q, gamma, pl, mp] of one checked k, built once and read by every view of k.
+
+    pl and mp, the PL and MP numbers by index, stay None until the first read
+    of their family, so a k read only through p and q holds no dict for them.
+    """
     row = functools.partial(_pell_row, k.numerator, k.denominator)
     p = _ByIndex(lambda j: row(j, 1)[0]).__getitem__
     q = _ByIndex(lambda j: DualComplex(*row(j, 4))).__getitem__
-    return p, q, DualComplex(1 + k, 2, 2 * k * k + 6 * k + 4, 4 * k + 8)
+    return [p, q, DualComplex(1 + k, 2, 2 * k * k + 6 * k + 4, 4 * k + 8), None, None]
 
 
 class Terms:
     """The sequence terms at one checked k, read by index.
 
-    p(j) is P_j and q(j) the k-Pell dual-complex number at j, each built once
-    per j and shared by every view of k, as is gamma, (1+k) + 2i + (2k^2+6k+4)
-    eps + (4k+8) i eps. d(family, j) is that number for any family and
-    row(family, lo, count) a stretch of terms, built on every call. qq(a, b)
+    p(j) is P_j, q(j) the k-Pell dual-complex number at j and d(family, j)
+    that number for any family, each built once per (family, j) and shared by
+    every view of k, as is gamma, (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps.
+    The PL and MP numbers follow row's family rule from P, never from q.
+    row(family, lo, count) is a stretch of terms, built on every call. qq(a, b)
     is Q_a Q_b, built once per unordered pair and held by this view alone, so
     an evaluator that makes its own Terms(k) drops the products with it.
     """
 
-    __slots__ = ("k", "p", "q", "gamma", "_qq")
+    __slots__ = ("k", "p", "q", "gamma", "_shared", "_qq")
 
     def __init__(self, k: Fraction | int) -> None:
         self.k = k
-        self.p, self.q, self.gamma = _shared(k)
+        self._shared = _shared(k)
+        self.p, self.q, self.gamma = self._shared[:3]
         q = self.q
         self._qq = _ByIndex(lambda ab: q(ab[0]) * q(ab[1]))
 
@@ -140,17 +163,16 @@ class Terms:
 
     def row(self, family: Family, lo: int, count: int) -> tuple[Fraction | int, ...]:
         """S_lo ... S_{lo+count-1}: an int for integer k and index >= 0, else a Fraction."""
-        p, q = self.k.numerator, self.k.denominator
-        if family is Family.K_PELL:
-            return _pell_row(p, q, lo, count)
-        row = _pell_row(p, q, lo, count + 1)
-        scale = 2 if family is Family.K_PELL_LUCAS else 1
-        return tuple(scale * (b - a) for a, b in zip(row, row[1:]))
+        return _family_row(family, self.k, lo, count)
 
     def d(self, family: Family, j: int) -> DualComplex:
         if family is Family.K_PELL:
             return self.q(j)
-        return DualComplex(*self.row(family, j, 4))
+        slot = 3 if family is Family.K_PELL_LUCAS else 4
+        numbers = self._shared[slot]
+        if numbers is None:
+            numbers = self._shared[slot] = _family_numbers(family, self.k)
+        return numbers(j)
 
 
 _views = functools.cache(Terms)  # the shared view of each checked k
@@ -184,10 +206,16 @@ def seq_term_fast(spec: SequenceSpec, n: int) -> Fraction | int:
 
 
 def seq_binet(k: Fraction | int, n: int) -> Fraction:
-    """P_{k,n} evaluated as (alpha^n - beta^n) / (alpha - beta) in Q(sqrt(1+k))."""
+    """P_{k,n} evaluated as (alpha^n - beta^n) / (alpha - beta), as a Fraction.
+
+    With k = p/q it runs on rho = q alpha and rho_bar = q beta, the roots
+    q +/- sqrt(q(p+q)) of x^2 = 2qx + pq, so the powers stay in int arithmetic:
+    (rho^n - rho_bar^n) / (rho - rho_bar) is A_n = q^(n-1) P_n, and it and
+    q^(n-1) are divided out at the end, in one Fraction.
+    """
     n = exact_index(n, 0)
-    alpha, beta = make_alpha_beta(k)
-    return rationalize((alpha**n - beta**n) / (alpha - beta))
+    rho, rho_bar, unclear = _cleared_roots(k)
+    return unclear(rho**n - rho_bar**n, n)
 
 
 def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from dualpell import DualComplex
+from dualpell import DualComplex, make_alpha_beta, rationalize
 
 # basis order: 1, i, eps, i*eps; cell = (result index, sign) or None for zero
 BASIS_TABLE = [
@@ -49,3 +49,16 @@ def naive_pell_row(k: Fraction, count: int) -> list[Fraction]:
     while len(row) < count:
         row.append(2 * row[-1] + Fraction(k) * row[-2])
     return row[:count]
+
+
+def binet_over_alpha_beta(k: Fraction, n: int) -> DualComplex:
+    """P_n + i P_{n+1} + eps P_{n+2} + i eps P_{n+3} by Binet in Q(sqrt(1+k)).
+
+    Slot j is (alpha^(n+j) - beta^(n+j)) / (alpha - beta) on the roots
+    1 +/- sqrt(1+k) themselves, with Fraction coefficients at rational k: the
+    reference for the library's route over the cleared roots q +/- sqrt(q(p+q)).
+    """
+    alpha, beta = make_alpha_beta(k)
+    delta = alpha - beta
+    slots = (alpha ** (n + j) - beta ** (n + j) for j in range(4))
+    return DualComplex(*(rationalize(c / delta) for c in slots))

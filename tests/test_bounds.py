@@ -6,10 +6,13 @@ address space at 512 MB, so a regression that keeps every earlier term
 its peak resident set must stay under 200 MB.
 
 The products Q_a Q_b that sweep and identity_sides memoize die with the
-evaluation; only the per-k terms stay, and those grow linearly in n.
+evaluation; only the per-k terms stay, and those grow linearly in n. The
+per-k memo makes its PL and MP numbers on the first read of that family, so
+a k read only through P holds no memo for them.
 """
 
 import gc
+import inspect
 import os
 import subprocess
 import sys
@@ -17,7 +20,8 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
-from dualpell import IdentityId, SweepConfig, identity_sides, sweep
+from dualpell import Family, IdentityId, SweepConfig, dc_number, identity_sides, sweep
+from dualpell import sequences
 
 CHILD = """
 import io, resource, sys
@@ -67,3 +71,27 @@ def test_evaluations_hold_no_products_after_they_return():
     # held by a process-lifetime product memo: about 1.0 MB and 146 KB
     assert after_sweep < 2**19, f"sweep left {after_sweep} bytes"
     assert after_sides - after_sweep < 2**15, f"identity_sides left {after_sides - after_sweep} bytes"
+
+
+def test_pell_reads_at_fresh_k_hold_no_family_numbers():
+    # blocks allocated on the lines of _family_numbers, the one maker of a PL or MP memo
+    lines, first = inspect.getsourcelines(sequences._family_numbers)
+    file = sequences.__file__
+    made_there = [tracemalloc.Filter(True, file, n) for n in range(first, first + len(lines))]
+
+    def family_bytes():
+        traces = tracemalloc.take_snapshot().filter_traces(made_there).traces
+        return sum(trace.size for trace in traces)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i in range(1, 301):  # denominator 7919: no other test reads these k
+            dc_number(Family.K_PELL, Fraction(i, 7919), 3)
+        after_pell = family_bytes()
+        dc_number(Family.MODIFIED_K_PELL, Fraction(301, 7919), 3)
+        after_mp = family_bytes()
+    finally:
+        tracemalloc.stop()
+    assert after_pell == 0, f"K_PELL reads left {after_pell} bytes of PL/MP memo"
+    assert after_mp > 0  # a first MP read makes the memo, so the filter sees it

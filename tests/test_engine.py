@@ -53,9 +53,7 @@ def test_rows_match_recurrence_and_binet(k, lo, count):
     naive = naive_pell_row(k, max(lo + count, 0))
     nonneg = [(n, term) for n, term in enumerate(row, lo) if n >= 0]
     assert all(term == naive[n] for n, term in nonneg)
-    # Binet costs about a millisecond a term: check both ends of the stretch.
-    for n, term in nonneg[:1] + nonneg[-1:]:
-        assert term == seq_binet(k, n)
+    assert all(term == seq_binet(k, n) for n, term in nonneg)
 
 
 @SEEDED
@@ -82,6 +80,16 @@ def test_term_view_reads_the_rows(k, j, family):
     assert t.p(j) == seq_row(Family.K_PELL, k, j, 1)[0]
     assert t.q(j) == DualComplex(*seq_row(Family.K_PELL, k, j, 4))
     assert t.d(family, j) == DualComplex(*seq_row(family, k, j, 4))
+    assert t.d(family, j) == DualComplex(*t.row(family, j, 4))
+    assert Terms(positive_k(k)).d(family, j) is t.d(family, j)
+
+
+def test_family_numbers_are_built_from_the_rule_not_from_q():
+    t = Terms(Fraction(13, 7907))  # a k no other test reads, so its memo starts empty
+    for family in (Family.K_PELL_LUCAS, Family.MODIFIED_K_PELL):
+        for j in (-3, 0, 5):
+            assert t.d(family, j) == DualComplex(*t.row(family, j, 4))
+    assert not t.q.__self__  # f28-f31 compare these numbers with q, so q must stay unread
 
 
 @SEEDED

@@ -35,6 +35,7 @@ from dualpell import (
     terms,
 )
 from dualpell.identities import IdentityId
+from dualpell.scalars import _cleared_roots
 
 FLOAT_K_ENTRIES = {
     "pell_term": lambda k: pell_term(k, 3),
@@ -209,6 +210,12 @@ def test_integer_k_closed_forms_stay_int():
         for hat in hat_pair(k):
             for c in hat.coefficients():
                 assert (type(c.a), type(c.b), type(c.d)) == (int, int, int), (k, c)
+    # the cleared roots q +/- sqrt(q(p+q)) the Binet forms run on stay int at rational k too
+    for k in (2, Fraction(3, 2), Fraction(22, 7), Fraction(5, 4)):
+        rho, rho_bar, _ = _cleared_roots(k)
+        for n in range(12):
+            for c in (rho**n, rho_bar**n):
+                assert (type(c.a), type(c.b), type(c.d)) == (int, int, int), (k, n, c)
 
 
 def test_closed_forms_return_fractions_never_floats():

@@ -16,8 +16,10 @@ from dualpell import (
     hat_pair,
     make_alpha_beta,
     rationalize,
+    seq_binet,
     terms,
 )
+from support import binet_over_alpha_beta
 
 
 def dc(one, i=0, eps=0, ieps=0):
@@ -93,9 +95,19 @@ def test_binet_quaternion_degenerate_radicand():
 
 
 def test_binet_quaternion_matches_build_sampled():
-    for k in (Fraction(1), Fraction(2), Fraction(1, 2)):
+    # at 5/4 and 7/9 the radicand 1+k is a rational square and the radical folds
+    ks = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(22, 7), Fraction(5, 4), Fraction(7, 9))
+    for k in ks:
         for n in range(0, 40):
             assert binet_quaternion(k, n) == build_quaternion(Family.K_PELL, k, n).value
+
+
+def test_binet_on_cleared_roots_matches_binet_on_alpha_beta():
+    for k in (Fraction(3, 2), Fraction(1, 2), Fraction(22, 7), Fraction(5, 4), Fraction(7, 9), 2):
+        for n in (0, 1, 7, 30):
+            reference = binet_over_alpha_beta(k, n)
+            assert binet_quaternion(k, n) == reference
+            assert seq_binet(k, n) == reference.real
 
 
 def test_binet_quaternion_rejects_negative_index():
