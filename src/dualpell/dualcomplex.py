@@ -5,15 +5,21 @@ Writing w = z1 + eps*z2 with complex z1, z2, an element is invertible exactly
 when z1 is nonzero; elements with z1 = 0 are zero divisors (eps is nilpotent).
 
 Coefficients are generic over an exact scalar ring: one multiplication formula
-serves int, Fraction and QuadExt (over Q it runs on cleared int numerators),
-which is how the Binet machinery reuses it. int and Fraction coefficients may
-mix. Over Q, division and the dual-complex conjugate run on the cleared int
-numerators too, and each result slot is one Fraction: a conjugate's eps slot
-is one over D |Z1|^2 and a quotient w / v one D c / (D_w |Z1|^4), where D and
-D_w are the common denominators of v and w, Z1 = D z1 is v's cleared complex
-part and c is an int slot of the cleared product. With a QuadExt
-coefficient both scale by the exact reciprocal Fraction(1)/|z1|^2. No
-coefficient ever becomes a float.
+serves int, Fraction and QuadExt, which is how the Binet machinery reuses it.
+int and Fraction coefficients may mix. Over Q, that is with no QuadExt
+coefficient and a Fraction among the operands, +, -, unary -, scale, *, /
+and the conjugates run in int on each value's canonical cleared form
+(n1, n2, n3, n4, d): the coefficients are nj / d with d > 1 and
+gcd(n1, n2, n3, n4, d) = 1. A value caches its form on its first use over Q,
+and each kernel sets the form on its result, whose slots are Fractions built
+once from it; == compares two forms directly. A result whose reduced d is 1
+comes back with plain int coefficients and no form, so all-int values keep
+their int path. Over Q the dual-complex conjugate of (a, b, c, e)/D is
+(aN, -bN, x, y)/(D N) with N = a^2 + b^2, and a quotient w / v is the int
+product of w's numerators with (aN, -bN, x, y) over D_w N^2 / D, where D and
+D_w are the denominators of v and w. Over int both clear to d = 1 first, as
+they divide. With a QuadExt coefficient they scale by the exact reciprocal
+Fraction(1)/|z1|^2. No coefficient ever becomes a float.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Any
 
 from .scalars import _SCALARS, QuadExt, parse_rational
@@ -48,12 +54,17 @@ class Conjugation(Enum):
     ANTI_DUAL = 5
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(unsafe_hash=True)
 class DualComplex:
     """w = real + imag*i + dual*eps + dual_imag*i*eps over int, Fraction or QuadExt.
 
-    A float or bool coefficient raises TypeError. Immutable by convention.
+    A float or bool coefficient raises TypeError. The coefficients never change;
+    one private slot, _form, may be filled once with the canonical cleared form
+    of a value over Q (see _q_form). It is not a field, so repr, hash and the
+    constructor never show it, and == answers the same with or without it.
     """
+
+    __slots__ = ("real", "imag", "dual", "dual_imag", "_form")
 
     real: Any
     imag: Any
@@ -61,11 +72,24 @@ class DualComplex:
     dual_imag: Any
 
     def __init__(self, real: Any, imag: Any, dual: Any, dual_imag: Any) -> None:
-        if not (type(real) in _SCALARS and type(imag) in _SCALARS
+        if type(real) is int and type(imag) is int and type(dual) is int and type(dual_imag) is int:
+            self._form = None
+        elif (type(real) in _SCALARS and type(imag) in _SCALARS
                 and type(dual) in _SCALARS and type(dual_imag) in _SCALARS):
+            self._form = False
+        else:
             shown = ", ".join(type(c).__name__ for c in (real, imag, dual, dual_imag))
             raise TypeError(f"DualComplex coefficients must be int, Fraction or QuadExt, got ({shown})")
         self.real, self.imag, self.dual, self.dual_imag = real, imag, dual, dual_imag
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not DualComplex:
+            return NotImplemented
+        if self._form and other._form:
+            return self._form == other._form  # canonical, so equal values have equal forms
+        return (self.real, self.imag, self.dual, self.dual_imag) == (
+            other.real, other.imag, other.dual, other.dual_imag
+        )
 
     def complex_part(self) -> tuple:
         """z1 of the split w = z1 + eps*z2."""
@@ -84,6 +108,10 @@ class DualComplex:
     def __add__(self, other: "DualComplex") -> "DualComplex":
         if not isinstance(other, DualComplex):
             return NotImplemented
+        if self._form is not None or other._form is not None:
+            forms = _q_forms(self, other)
+            if forms is not None:
+                return _sum(*forms, 1)
         return DualComplex(
             self.real + other.real,
             self.imag + other.imag,
@@ -94,6 +122,10 @@ class DualComplex:
     def __sub__(self, other: "DualComplex") -> "DualComplex":
         if not isinstance(other, DualComplex):
             return NotImplemented
+        if self._form is not None or other._form is not None:
+            forms = _q_forms(self, other)
+            if forms is not None:
+                return _sum(*forms, -1)
         return DualComplex(
             self.real - other.real,
             self.imag - other.imag,
@@ -102,17 +134,24 @@ class DualComplex:
         )
 
     def __neg__(self) -> "DualComplex":
-        return DualComplex(-self.real, -self.imag, -self.dual, -self.dual_imag)
+        return self.scale(-1)
 
     def scale(self, s: Any) -> "DualComplex":
         """s * w for an int, Fraction or QuadExt s; a float or bool raises TypeError.
 
         An integral Fraction scales as its int numerator, as positive_k takes k.
         """
-        if type(s) not in _SCALARS:
-            raise TypeError(f"cannot scale a DualComplex by {type(s).__name__}")
-        if type(s) is Fraction and s.denominator == 1:
-            s = s.numerator
+        kind = type(s)
+        if kind not in _SCALARS:
+            raise TypeError(f"cannot scale a DualComplex by {kind.__name__}")
+        if kind is Fraction and s.denominator == 1:
+            s, kind = s.numerator, int
+        if kind is Fraction or (kind is int and self._form is not None):
+            form = _q_form(self)
+            if form is not None:
+                n1, n2, n3, n4, d = form
+                p = s.numerator
+                return _over(p * n1, p * n2, p * n3, p * n4, s.denominator * d)
         return DualComplex(
             s * self.real, s * self.imag, s * self.dual, s * self.dual_imag
         )
@@ -120,22 +159,21 @@ class DualComplex:
     def __mul__(self, other: Any) -> "DualComplex":
         if not isinstance(other, DualComplex):
             return self.scale(other)
-        a1, a2, a3, a4 = self.real, self.imag, self.dual, self.dual_imag
-        b1, b2, b3, b4 = other.real, other.imag, other.dual, other.dual_imag
-        # Over Q (not all int, no QuadExt) the formula runs on int numerators over
-        # one denominator per operand, and each result is reduced once, by one gcd.
-        kinds = type(a1), type(a2), type(a3), type(a4), type(b1), type(b2), type(b3), type(b4)
-        rational = kinds.count(int) < 8 and QuadExt not in kinds
-        if rational:
-            a1, a2, a3, a4, da = _cleared(a1, a2, a3, a4)
-            b1, b2, b3, b4, db = _cleared(b1, b2, b3, b4)
+        # Over Q the formula runs on the operands' cleared forms, in int.
+        forms = None
+        if self._form is not None or other._form is not None:
+            forms = _q_forms(self, other)
+        if forms is not None:
+            (a1, a2, a3, a4, da), (b1, b2, b3, b4, db) = forms
+        else:
+            a1, a2, a3, a4 = self.real, self.imag, self.dual, self.dual_imag
+            b1, b2, b3, b4 = other.real, other.imag, other.dual, other.dual_imag
         c1 = a1 * b1 - a2 * b2
         c2 = a1 * b2 + a2 * b1
         c3 = a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2
         c4 = a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2
-        if rational:
-            d = da * db
-            return DualComplex(Fraction(c1, d), Fraction(c2, d), Fraction(c3, d), Fraction(c4, d))
+        if forms is not None:
+            return _over(c1, c2, c3, c4, da * db)
         return DualComplex(c1, c2, c3, c4)
 
     def __rmul__(self, other: Any) -> "DualComplex":
@@ -146,41 +184,39 @@ class DualComplex:
 
         other times its dual-complex conjugate is the real |z3|^2, where z3 is
         the complex part of other, so q = self * conj(other) / |z3|^2. Over Q
-        the product runs on int numerators and each slot is one Fraction.
+        the product runs on the cleared forms, in int.
         """
         if not isinstance(other, DualComplex):
             return NotImplemented
-        coefficients = (*self.coefficients(), *other.coefficients())
-        if QuadExt in map(type, coefficients):
+        s, v = _q_form(self), _q_form(other)
+        if s is None or v is None:
             conj = other.conjugate(Conjugation.DUAL_COMPLEX)
             return (self * conj).scale(Fraction(1) / (other.real**2 + other.imag**2))
         # With other = (a, b, c, e)/D, N = a^2 + b^2 and x + yi its eps slot's
         # numerator, conj(other)/|z3|^2 is D (aN, -bN, x, y)/N^2.
-        *s, ds = _cleared(*coefficients[:4])
-        a, b, c, e, d = _cleared(*coefficients[4:])
+        a, b, c, e, d = v
         x, y, n = _conjugate_eps(a, b, c, e)
-        product = DualComplex(*s) * DualComplex(a * n, -b * n, x, y)
-        den = ds * n * n
-        return DualComplex(*(Fraction(d * num, den) for num in product.coefficients()))
+        product = DualComplex(*s[:4]) * DualComplex(a * n, -b * n, x, y)
+        c1, c2, c3, c4 = product.coefficients()
+        return _over(d * c1, d * c2, d * c3, d * c4, s[4] * n * n)
 
     def conjugate(self, kind: Conjugation) -> "DualComplex":
+        if kind is not Conjugation.DUAL_COMPLEX:
+            # a signed permutation of the slots, and of a cached form's numerators
+            move, form = _MOVES[kind], self._form
+            w = DualComplex(*move(self.real, self.imag, self.dual, self.dual_imag))
+            if form:
+                w._form = (*move(form[0], form[1], form[2], form[3]), form[4])
+            return w
+        # Over Q on the cleared form (a, b, c, e)/D, so the result is
+        # (aN, -bN, x, y)/(D N) with N = |Z1|^2 for Z1 = D z1.
+        form = _q_form(self)
+        if form is not None:
+            a, b, c, e, den = form
+            x, y, n = _conjugate_eps(a, b, c, e)
+            return _over(a * n, -b * n, x, y, den * n)
         r, i, d, di = self.coefficients()
-        if kind is Conjugation.COMPLEX:
-            return DualComplex(r, -i, d, -di)
-        if kind is Conjugation.DUAL:
-            return DualComplex(r, i, -d, -di)
-        if kind is Conjugation.COUPLED:
-            return DualComplex(r, -i, -d, di)
-        if kind is Conjugation.ANTI_DUAL:
-            return DualComplex(d, di, -r, -i)
-        # Over Q on the int numerators of all four over one D, so each eps slot
-        # is one Fraction over D |Z1|^2, where Z1 = D z1.
-        rational = QuadExt not in (type(r), type(i), type(d), type(di))
-        a, b, c, e, den = _cleared(r, i, d, di) if rational else (r, i, d, di, 1)
-        x, y, n = _conjugate_eps(a, b, c, e)
-        if rational:
-            den *= n
-            return DualComplex(r, -i, Fraction(x, den), Fraction(y, den))
+        x, y, n = _conjugate_eps(r, i, d, di)
         inv = Fraction(1) / n
         return DualComplex(r, -i, x * inv, y * inv)
 
@@ -218,6 +254,62 @@ def _cleared(c1: Any, c2: Any, c3: Any, c4: Any) -> tuple:
     n1, n2 = c1.numerator * (d // c1.denominator), c2.numerator * (d // c2.denominator)
     n3, n4 = c3.numerator * (d // c3.denominator), c4.numerator * (d // c4.denominator)
     return n1, n2, n3, n4, d
+
+
+def _q_form(w: DualComplex) -> tuple | None:
+    """w's cleared form (n1, n2, n3, n4, d) over Q, or None when a coefficient is a QuadExt.
+
+    w._form is None when all four coefficients are int, False until a value
+    with a Fraction or QuadExt is first read here, and then the form if d > 1.
+    _cleared gives the canonical form, gcd(n1, .., n4, d) = 1; an integral
+    value never caches one, so integer k keeps its int path.
+    """
+    form = w._form
+    if form is None:
+        return w.real, w.imag, w.dual, w.dual_imag, 1
+    if form is False:
+        if QuadExt in map(type, w.coefficients()):
+            return None
+        form = _cleared(w.real, w.imag, w.dual, w.dual_imag)
+        if form[4] > 1:
+            w._form = form
+    return form
+
+
+def _q_forms(a: DualComplex, b: DualComplex) -> tuple | None:
+    """(a's form, b's form), or None when a coefficient is a QuadExt."""
+    fa = _q_form(a)
+    fb = None if fa is None else _q_form(b)
+    return None if fb is None else (fa, fb)
+
+
+def _over(n1: int, n2: int, n3: int, n4: int, d: int) -> DualComplex:
+    """(n1, n2, n3, n4)/d for d > 0, with its canonical form cached, or in int when integral."""
+    g = gcd(n1, n2, n3, n4, d)
+    if g != 1:
+        n1, n2, n3, n4, d = n1 // g, n2 // g, n3 // g, n4 // g, d // g
+    if d == 1:
+        return DualComplex(n1, n2, n3, n4)
+    w = DualComplex(Fraction(n1, d), Fraction(n2, d), Fraction(n3, d), Fraction(n4, d))
+    w._form = (n1, n2, n3, n4, d)
+    return w
+
+
+def _sum(fa: tuple, fb: tuple, sign: int) -> DualComplex:
+    """a + sign * b from the cleared forms of a and b."""
+    a1, a2, a3, a4, da = fa
+    b1, b2, b3, b4, db = fb
+    d = lcm(da, db)
+    x, y = d // da, sign * (d // db)
+    return _over(a1 * x + b1 * y, a2 * x + b2 * y, a3 * x + b3 * y, a4 * x + b4 * y, d)
+
+
+_MOVES = {
+    Conjugation.COMPLEX: lambda r, i, d, di: (r, -i, d, -di),
+    Conjugation.DUAL: lambda r, i, d, di: (r, i, -d, -di),
+    Conjugation.COUPLED: lambda r, i, d, di: (r, -i, -d, di),
+    Conjugation.ANTI_DUAL: lambda r, i, d, di: (d, di, -r, -i),
+}
 
 
 def _conjugate_eps(a: Any, b: Any, c: Any, e: Any) -> tuple:

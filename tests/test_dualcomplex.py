@@ -1,11 +1,16 @@
 """Ring behaviour of dual-complex numbers: products, division, conjugations."""
 
 import copy
+import dataclasses
+import inspect
+import math
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualpell import (
     DC_EPS,
@@ -19,6 +24,8 @@ from dualpell import (
     QuadExt,
 )
 from support import random_dc, table_mul
+
+SEEDED = settings(derandomize=True, database=None, deadline=None)
 
 
 def dc(one, i=0, eps=0, ieps=0):
@@ -218,18 +225,31 @@ def test_repr_hash_and_equality_contract():
     assert w != (1, 2, 3, 4)
     assert w == DualComplex(Fraction(1), 2, QuadExt(3, 0, 2), 4)
     assert hash(w) == hash(DualComplex(Fraction(1), 2, QuadExt(3, 0, 2), 4))
+    # a value holding its cleared form shows only the four fields
+    half = dc(1, 2, 3, 4).scale(Fraction(1, 2))
+    assert half._form == (1, 2, 3, 4, 2)
+    assert repr(half) == (
+        "DualComplex(real=Fraction(1, 2), imag=Fraction(1, 1), dual=Fraction(3, 2), dual_imag=Fraction(2, 1))"
+    )
+    assert hash(half) == hash(half.coefficients()) and half != (1, 2, 3, 4, 2)
+    names = ("real", "imag", "dual", "dual_imag")
+    assert tuple(f.name for f in dataclasses.fields(half)) == names
+    assert DualComplex.__match_args__ == names
+    assert tuple(inspect.signature(DualComplex).parameters) == names
 
 
 VALUES = [DualComplex(1, Fraction(-2, 3), QuadExt(1, 2, 3), 4), QuadExt(Fraction(1, 2), -3, 5)]
 
 
-@pytest.mark.parametrize("value", VALUES, ids=["DualComplex", "QuadExt"])
+@pytest.mark.parametrize("value", VALUES + [dc(1, 2, 3, 4).scale(Fraction(1, 6))],
+                         ids=["DualComplex", "QuadExt", "DualComplex over Q with its form"])
 def test_pickle_and_copy_round_trip(value):
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         again = pickle.loads(pickle.dumps(value, protocol))
         assert type(again) is type(value) and again == value
     for again in (copy.copy(value), copy.deepcopy(value)):
         assert type(again) is type(value) and again == value
+        assert getattr(again, "_form", None) == getattr(value, "_form", None)
 
 
 @pytest.mark.parametrize("value", VALUES, ids=["DualComplex", "QuadExt"])
@@ -252,3 +272,87 @@ def test_operations_leave_operands_unchanged():
                 results += [a.conjugate(kind), a.norm_product(kind)]
         assert all(type(r) is DualComplex for r in results)
         assert (a.coefficients(), b.coefficients()) == before
+
+
+small_ints = st.integers(-30, 30)
+small_fractions = st.builds(Fraction, small_ints, st.integers(1, 12))
+COEFFICIENTS = {
+    "int": small_ints,
+    "Fraction": small_fractions,
+    "mixed": st.one_of(small_ints, small_fractions),
+    "QuadExt": st.one_of(small_ints, small_fractions,
+                         st.builds(QuadExt, small_fractions, small_fractions, st.just(2))),
+}
+operands = st.sampled_from(sorted(COEFFICIENTS)).flatmap(
+    lambda kind: st.tuples(*[COEFFICIENTS[kind]] * 4).map(lambda c: DualComplex(*c))
+)
+scalars = st.one_of(small_ints, small_fractions, st.just(QuadExt(1, 1, 2)))
+OPS = ("+", "-", "neg", "scale", "*", "/", *Conjugation)
+# signed permutations of the slots, which keep each coefficient's type
+MOVES = ("neg", Conjugation.COMPLEX, Conjugation.DUAL, Conjugation.COUPLED, Conjugation.ANTI_DUAL)
+
+
+def reference_conjugate(w, kind):
+    """conj(w) slot by slot in the coefficients' own arithmetic, from the Conjugation table."""
+    r, i, d, di = w.coefficients()
+    if kind is not Conjugation.DUAL_COMPLEX:
+        return {Conjugation.COMPLEX: (r, -i, d, -di), Conjugation.DUAL: (r, i, -d, -di),
+                Conjugation.COUPLED: (r, -i, -d, di), Conjugation.ANTI_DUAL: (d, di, -r, -i)}[kind]
+    # z1* - eps z2 (z1*)^2 / |z1|^2
+    inv = Fraction(1) / (r * r + i * i)
+    sq_re, sq_im = r * r - i * i, -2 * r * i
+    return r, -i, -(d * sq_re - di * sq_im) * inv, -(d * sq_im + di * sq_re) * inv
+
+
+def reference(op, x, y, s):
+    """op on plain coefficient tuples, with table_mul for products; never a cleared form."""
+    xs, ys = x.coefficients(), y.coefficients()
+    if op in ("+", "-"):
+        sign = 1 if op == "+" else -1
+        return tuple(a + sign * b for a, b in zip(xs, ys))
+    if op == "neg":
+        return tuple(-a for a in xs)
+    if op == "scale":
+        return tuple(s * a for a in xs)
+    if op == "*":
+        return table_mul(x, y).coefficients()
+    if op == "/":
+        y1, y2 = y.complex_part()
+        inv = Fraction(1) / (y1 * y1 + y2 * y2)
+        conj = DualComplex(*reference_conjugate(y, Conjugation.DUAL_COMPLEX))
+        return tuple(c * inv for c in table_mul(x, conj).coefficients())
+    return reference_conjugate(x, op)
+
+
+def apply(op, x, y, s):
+    if op in ("+", "-", "*", "/"):
+        return {"+": x.__add__, "-": x.__sub__, "*": x.__mul__, "/": x.__truediv__}[op](y)
+    if op == "neg":
+        return -x
+    return x.scale(s) if op == "scale" else x.conjugate(op)
+
+
+@SEEDED
+@given(operands, st.lists(st.tuples(st.sampled_from(OPS), operands, scalars), min_size=2, max_size=4))
+def test_chained_operations_match_plain_references(start, steps):
+    value, plain = start, DualComplex(*start.coefficients())
+    for op, other, s in steps:
+        divisor = other if op == "/" else value
+        if op in ("/", Conjugation.DUAL_COMPLEX) and divisor.has_zero_complex_part():
+            op = "+"
+        expected = DualComplex(*reference(op, plain, DualComplex(*other.coefficients()), s))
+        result = apply(op, value, other, s)
+        assert type(result) is DualComplex and result == expected
+        rebuilt = DualComplex(*result.coefficients())
+        assert result == rebuilt and rebuilt.scale(1) == result and result != result + DC_ONE
+        assert hash(result) == hash(rebuilt) and repr(result) == repr(rebuilt)
+        if result._form:
+            *numerators, d = result._form
+            assert d > 1 and math.gcd(*numerators, d) == 1
+            assert result.coefficients() == tuple(Fraction(n, d) for n in numerators)
+        inputs = value.coefficients()
+        inputs += other.coefficients() if op in ("+", "-", "*", "/") else (s,) if op == "scale" else ()
+        if op not in MOVES and QuadExt not in map(type, inputs):
+            if all(c.denominator == 1 for c in result.coefficients()):
+                assert all(type(c) is int for c in result.coefficients()), (op, result)
+        value, plain = result, expected
