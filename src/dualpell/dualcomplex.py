@@ -11,10 +11,11 @@ coefficient and a Fraction among the operands, +, -, unary -, scale, *, /
 and the conjugates run in int on each value's canonical cleared form
 (n1, n2, n3, n4, d): the coefficients are nj / d with d > 1 and
 gcd(n1, n2, n3, n4, d) = 1. A value caches its form on its first use over Q,
-and each kernel sets the form on its result, whose slots are Fractions built
-once from it; == compares two forms directly. A result whose reduced d is 1
-comes back with plain int coefficients and no form, so all-int values keep
-their int path. Over Q the dual-complex conjugate of (a, b, c, e)/D is
+and each kernel returns a result that holds its form alone: the four
+Fraction coefficients are built from it on the first read of one of them,
+and == compares two forms directly. A result whose reduced d is 1 comes
+back with plain int coefficients and no form, so all-int values keep their
+int path. Over Q the dual-complex conjugate of (a, b, c, e)/D is
 (aN, -bN, x, y)/(D N) with N = a^2 + b^2, and a quotient w / v is the int
 product of w's numerators with (aN, -bN, x, y) over D_w N^2 / D, where D and
 D_w are the denominators of v and w. Over int both clear to d = 1 first, as
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 from typing import Any
 
 from .scalars import _SCALARS, QuadExt, parse_rational
@@ -58,18 +60,21 @@ class Conjugation(Enum):
 class DualComplex:
     """w = real + imag*i + dual*eps + dual_imag*i*eps over int, Fraction or QuadExt.
 
-    A float or bool coefficient raises TypeError. The coefficients never change;
-    one private slot, _form, may be filled once with the canonical cleared form
-    of a value over Q (see _q_form). It is not a field, so repr, hash and the
-    constructor never show it, and == answers the same with or without it.
+    A float or bool coefficient raises TypeError. The four fields are read-only
+    properties over the private slots _r, _i, _d and _di, and never change. One
+    more private slot, _form, may hold the canonical cleared form of a value
+    over Q (see _q_form); a kernel's result over Q holds only its form, and
+    the first read of a coefficient fills all four slots from it (see
+    coefficients). _form is not a field, so repr, hash and the constructor
+    never show it, and == answers the same with or without it.
     """
 
-    __slots__ = ("real", "imag", "dual", "dual_imag", "_form")
+    __slots__ = ("_r", "_i", "_d", "_di", "_form")
 
-    real: Any
-    imag: Any
-    dual: Any
-    dual_imag: Any
+    real: Any = property(lambda w: w.coefficients()[0])
+    imag: Any = property(lambda w: w.coefficients()[1])
+    dual: Any = property(lambda w: w.coefficients()[2])
+    dual_imag: Any = property(lambda w: w.coefficients()[3])
 
     def __init__(self, real: Any, imag: Any, dual: Any, dual_imag: Any) -> None:
         if type(real) is int and type(imag) is int and type(dual) is int and type(dual_imag) is int:
@@ -80,16 +85,18 @@ class DualComplex:
         else:
             shown = ", ".join(type(c).__name__ for c in (real, imag, dual, dual_imag))
             raise TypeError(f"DualComplex coefficients must be int, Fraction or QuadExt, got ({shown})")
-        self.real, self.imag, self.dual, self.dual_imag = real, imag, dual, dual_imag
+        self._r, self._i, self._d, self._di = real, imag, dual, dual_imag
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not DualComplex:
             return NotImplemented
-        if self._form and other._form:
-            return self._form == other._form  # canonical, so equal values have equal forms
-        return (self.real, self.imag, self.dual, self.dual_imag) == (
-            other.real, other.imag, other.dual, other.dual_imag
-        )
+        form, other_form = self._form, other._form
+        if form and other_form:
+            return form == other_form  # canonical, so equal values have equal forms
+        if not form and not other_form:  # neither holds a form, so both were built eagerly
+            return (self._r, self._i, self._d, self._di) == (other._r, other._i, other._d, other._di)
+        forms = _q_forms(self, other)
+        return self.coefficients() == other.coefficients() if forms is None else forms[0] == forms[1]
 
     def complex_part(self) -> tuple:
         """z1 of the split w = z1 + eps*z2."""
@@ -100,7 +107,13 @@ class DualComplex:
         return (self.dual, self.dual_imag)
 
     def coefficients(self) -> tuple:
-        return (self.real, self.imag, self.dual, self.dual_imag)
+        try:
+            return self._r, self._i, self._d, self._di
+        except AttributeError:  # the first read of a value that holds its form alone
+            n1, n2, n3, n4, d = self._form
+            c = Fraction(n1, d), Fraction(n2, d), Fraction(n3, d), Fraction(n4, d)
+            self._r, self._i, self._d, self._di = c
+            return c
 
     def has_zero_complex_part(self) -> bool:
         return not self.real and not self.imag
@@ -110,28 +123,20 @@ class DualComplex:
             return NotImplemented
         if self._form is not None or other._form is not None:
             forms = _q_forms(self, other)
-            if forms is not None:
-                return _sum(*forms, 1)
-        return DualComplex(
-            self.real + other.real,
-            self.imag + other.imag,
-            self.dual + other.dual,
-            self.dual_imag + other.dual_imag,
-        )
+            if forms is None:  # a QuadExt coefficient; either operand may hold its form alone
+                return DualComplex(*map(add, self.coefficients(), other.coefficients()))
+            return _sum(*forms, 1)
+        return DualComplex(self._r + other._r, self._i + other._i, self._d + other._d, self._di + other._di)
 
     def __sub__(self, other: "DualComplex") -> "DualComplex":
         if not isinstance(other, DualComplex):
             return NotImplemented
         if self._form is not None or other._form is not None:
             forms = _q_forms(self, other)
-            if forms is not None:
-                return _sum(*forms, -1)
-        return DualComplex(
-            self.real - other.real,
-            self.imag - other.imag,
-            self.dual - other.dual,
-            self.dual_imag - other.dual_imag,
-        )
+            if forms is None:  # a QuadExt coefficient; either operand may hold its form alone
+                return DualComplex(*map(sub, self.coefficients(), other.coefficients()))
+            return _sum(*forms, -1)
+        return DualComplex(self._r - other._r, self._i - other._i, self._d - other._d, self._di - other._di)
 
     def __neg__(self) -> "DualComplex":
         return self.scale(-1)
@@ -144,37 +149,30 @@ class DualComplex:
         kind = type(s)
         if kind not in _SCALARS:
             raise TypeError(f"cannot scale a DualComplex by {kind.__name__}")
+        if kind is QuadExt:
+            return DualComplex(*map(s.__mul__, self.coefficients()))
         if kind is Fraction and s.denominator == 1:
             s, kind = s.numerator, int
-        if kind is Fraction or (kind is int and self._form is not None):
+        if kind is Fraction or self._form is not None:
             form = _q_form(self)
             if form is not None:
                 n1, n2, n3, n4, d = form
                 p = s.numerator
                 return _over(p * n1, p * n2, p * n3, p * n4, s.denominator * d)
-        return DualComplex(
-            s * self.real, s * self.imag, s * self.dual, s * self.dual_imag
-        )
+        return DualComplex(s * self._r, s * self._i, s * self._d, s * self._di)
 
     def __mul__(self, other: Any) -> "DualComplex":
         if not isinstance(other, DualComplex):
             return self.scale(other)
+        if self._form is None and other._form is None:
+            return DualComplex(*_product(self._r, self._i, self._d, self._di,
+                                         other._r, other._i, other._d, other._di))
         # Over Q the formula runs on the operands' cleared forms, in int.
-        forms = None
-        if self._form is not None or other._form is not None:
-            forms = _q_forms(self, other)
-        if forms is not None:
-            (a1, a2, a3, a4, da), (b1, b2, b3, b4, db) = forms
-        else:
-            a1, a2, a3, a4 = self.real, self.imag, self.dual, self.dual_imag
-            b1, b2, b3, b4 = other.real, other.imag, other.dual, other.dual_imag
-        c1 = a1 * b1 - a2 * b2
-        c2 = a1 * b2 + a2 * b1
-        c3 = a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2
-        c4 = a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2
-        if forms is not None:
-            return _over(c1, c2, c3, c4, da * db)
-        return DualComplex(c1, c2, c3, c4)
+        forms = _q_forms(self, other)
+        if forms is None:
+            return DualComplex(*_product(*self.coefficients(), *other.coefficients()))
+        (a1, a2, a3, a4, da), (b1, b2, b3, b4, db) = forms
+        return _over(*_product(a1, a2, a3, a4, b1, b2, b3, b4), da * db)
 
     def __rmul__(self, other: Any) -> "DualComplex":
         return self.scale(other)
@@ -196,17 +194,17 @@ class DualComplex:
         # numerator, conj(other)/|z3|^2 is D (aN, -bN, x, y)/N^2.
         a, b, c, e, d = v
         x, y, n = _conjugate_eps(a, b, c, e)
-        product = DualComplex(*s[:4]) * DualComplex(a * n, -b * n, x, y)
-        c1, c2, c3, c4 = product.coefficients()
+        c1, c2, c3, c4 = _product(s[0], s[1], s[2], s[3], a * n, -b * n, x, y)
         return _over(d * c1, d * c2, d * c3, d * c4, s[4] * n * n)
 
     def conjugate(self, kind: Conjugation) -> "DualComplex":
         if kind is not Conjugation.DUAL_COMPLEX:
-            # a signed permutation of the slots, and of a cached form's numerators
+            # a signed permutation of a cached form's numerators, or else of the slots
             move, form = _MOVES[kind], self._form
-            w = DualComplex(*move(self.real, self.imag, self.dual, self.dual_imag))
-            if form:
-                w._form = (*move(form[0], form[1], form[2], form[3]), form[4])
+            if not form:
+                return DualComplex(*move(self._r, self._i, self._d, self._di))
+            w = object.__new__(DualComplex)
+            w._form = (*move(form[0], form[1], form[2], form[3]), form[4])
             return w
         # Over Q on the cleared form (a, b, c, e)/D, so the result is
         # (aN, -bN, x, y)/(D N) with N = |Z1|^2 for Z1 = D z1.
@@ -215,7 +213,7 @@ class DualComplex:
             a, b, c, e, den = form
             x, y, n = _conjugate_eps(a, b, c, e)
             return _over(a * n, -b * n, x, y, den * n)
-        r, i, d, di = self.coefficients()
+        r, i, d, di = self._r, self._i, self._d, self._di  # a QuadExt value, so built eagerly
         x, y, n = _conjugate_eps(r, i, d, di)
         inv = Fraction(1) / n
         return DualComplex(r, -i, x * inv, y * inv)
@@ -225,12 +223,8 @@ class DualComplex:
         return self * self.conjugate(kind)
 
     def to_json_dict(self) -> dict:
-        return {
-            "one": str(self.real),
-            "i": str(self.imag),
-            "eps": str(self.dual),
-            "ieps": str(self.dual_imag),
-        }
+        r, i, d, di = self.coefficients()
+        return {"one": str(r), "i": str(i), "eps": str(d), "ieps": str(di)}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DualComplex":
@@ -242,10 +236,8 @@ class DualComplex:
         )
 
     def render(self) -> str:
-        return (
-            f"{self.real} + {self.imag}·i + {self.dual}·eps"
-            f" + {self.dual_imag}·i·eps"
-        )
+        r, i, d, di = self.coefficients()
+        return f"{r} + {i}·i + {d}·eps + {di}·i·eps"
 
 
 def _cleared(c1: Any, c2: Any, c3: Any, c4: Any) -> tuple:
@@ -266,11 +258,11 @@ def _q_form(w: DualComplex) -> tuple | None:
     """
     form = w._form
     if form is None:
-        return w.real, w.imag, w.dual, w.dual_imag, 1
+        return w._r, w._i, w._d, w._di, 1
     if form is False:
-        if QuadExt in map(type, w.coefficients()):
+        if QuadExt in map(type, (w._r, w._i, w._d, w._di)):
             return None
-        form = _cleared(w.real, w.imag, w.dual, w.dual_imag)
+        form = _cleared(w._r, w._i, w._d, w._di)
         if form[4] > 1:
             w._form = form
     return form
@@ -284,13 +276,13 @@ def _q_forms(a: DualComplex, b: DualComplex) -> tuple | None:
 
 
 def _over(n1: int, n2: int, n3: int, n4: int, d: int) -> DualComplex:
-    """(n1, n2, n3, n4)/d for d > 0, with its canonical form cached, or in int when integral."""
+    """(n1, n2, n3, n4)/d for d > 0, holding its canonical form alone, or in int when integral."""
     g = gcd(n1, n2, n3, n4, d)
     if g != 1:
         n1, n2, n3, n4, d = n1 // g, n2 // g, n3 // g, n4 // g, d // g
     if d == 1:
         return DualComplex(n1, n2, n3, n4)
-    w = DualComplex(Fraction(n1, d), Fraction(n2, d), Fraction(n3, d), Fraction(n4, d))
+    w = object.__new__(DualComplex)
     w._form = (n1, n2, n3, n4, d)
     return w
 
@@ -302,6 +294,16 @@ def _sum(fa: tuple, fb: tuple, sign: int) -> DualComplex:
     d = lcm(da, db)
     x, y = d // da, sign * (d // db)
     return _over(a1 * x + b1 * y, a2 * x + b2 * y, a3 * x + b3 * y, a4 * x + b4 * y, d)
+
+
+def _product(a1: Any, a2: Any, a3: Any, a4: Any, b1: Any, b2: Any, b3: Any, b4: Any) -> tuple:
+    """The four coefficients of (a1 + a2 i + a3 eps + a4 i eps)(b1 + b2 i + b3 eps + b4 i eps)."""
+    return (
+        a1 * b1 - a2 * b2,
+        a1 * b2 + a2 * b1,
+        a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2,
+        a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2,
+    )
 
 
 _MOVES = {

@@ -12,11 +12,13 @@ import time
 from fractions import Fraction
 
 from dualpell import (
+    CATALOG,
     DC_ZERO,
     DualComplex,
     Family,
     IdentityId,
     SequenceSpec,
+    SweepConfig,
     Verdict,
     binet_quaternion,
     build_quaternion,
@@ -28,6 +30,7 @@ from dualpell import (
     seq_binet,
     seq_term,
     seq_term_fast,
+    sweep,
 )
 from dualpell.cli import main as cli_main
 from support import random_dc, table_mul
@@ -165,6 +168,19 @@ def test_criterion_4_report_golden_byte_stable(default_sweep_reports):
     if rendered != golden:
         failures.append("regenerated default-sweep report differs from golden bytes")
     report_line("criterion-4 golden report byte-stable", failures)
+    assert not failures
+
+
+def test_criterion_4_rational_report_golden_byte_stable():
+    # at rational k the counterexamples carry Fraction coefficients, rendered
+    # from results that hold only their cleared form until they are read
+    failures = []
+    config = SweepConfig(tuple(CATALOG), (1, Fraction(2, 3), Fraction(7, 4)), (0, 8), (0, 8), (1, 4))
+    rendered = reports_to_json(sweep(config), zero_elapsed=True) + "\n"
+    golden = (DATA_DIR / "golden_rational_sweep.json").read_text(encoding="utf-8")
+    if rendered != golden:
+        failures.append("regenerated rational-k report differs from golden bytes")
+    report_line("criterion-4 rational-k golden report byte-stable", failures)
     assert not failures
 
 

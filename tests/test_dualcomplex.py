@@ -258,6 +258,64 @@ def test_unknown_attribute_rejected(value):
         value.extra = 1
 
 
+# results of the kernels over Q, each of which holds its cleared form alone
+FORM_ONLY = {
+    "+": lambda: dc(Fraction(1, 2), 1) + dc(0, Fraction(1, 3), 5, -7),
+    "-": lambda: dc(3, Fraction(5, 4)) - dc(0, 0, Fraction(-1, 6)),
+    "scale": lambda: dc(1, 2, 3, 4).scale(Fraction(1, 6)),
+    "*": lambda: dc(Fraction(1, 2), 1, 3) * dc(2, Fraction(-1, 3), 0, 1),
+    "/": lambda: DualComplex(1, 2, 3, 4) / DualComplex(3, 1, 0, 5),
+    "dual-complex conjugate": lambda: dc(Fraction(1, 2), 1, 3, 4).conjugate(Conjugation.DUAL_COMPLEX),
+    "anti-dual conjugate": lambda: dc(1, 2, 3, 4).scale(Fraction(1, 6)).conjugate(Conjugation.ANTI_DUAL),
+}
+
+
+def unread(w):
+    """True while w holds its form alone: no coefficient has been read or built."""
+    return bool(w._form) and not hasattr(w, "_r")
+
+
+@pytest.mark.parametrize("make", FORM_ONLY.values(), ids=FORM_ONLY)
+def test_a_value_holding_its_form_alone_matches_its_eager_rebuild(make):
+    def fresh():
+        w = make()
+        assert unread(w)
+        return w
+
+    eager = DualComplex(*fresh().coefficients())
+    w = fresh()
+    assert w == eager and eager == w and w != eager + DC_ONE and unread(w)  # == compares forms
+    assert hash(fresh()) == hash(eager)
+    assert repr(fresh()) == repr(eager) and str(fresh().render()) == str(eager.render())
+    assert fresh().to_json_dict() == eager.to_json_dict()
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(fresh(), protocol))
+        assert unread(again) and again == eager and eager == again
+        assert repr(again) == repr(eager) and hash(again) == hash(eager)
+    for again in (copy.copy(fresh()), copy.deepcopy(fresh())):
+        assert again == eager and repr(again) == repr(eager)
+    assert dataclasses.astuple(fresh()) == dataclasses.astuple(eager)
+    assert dataclasses.replace(fresh(), imag=7) == dataclasses.replace(eager, imag=7)
+    match fresh():
+        case DualComplex(real=r, imag=i, dual=d, dual_imag=di):
+            assert (r, i, d, di) == eager.coefficients()
+        case _:
+            pytest.fail("a DualComplex pattern did not match")
+
+
+@pytest.mark.parametrize("make", [lambda: DualComplex(1, 2, 3, 4), lambda: dc(Fraction(1, 2), 1, 3, 4),
+                                  FORM_ONLY["*"]], ids=["int", "Fraction", "form alone"])
+def test_fields_are_read_only(make):
+    value = make()
+    before = DualComplex(*make().coefficients())
+    for name in ("real", "imag", "dual", "dual_imag"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == repr(before) and value == before
+
+
 def test_operations_leave_operands_unchanged():
     rng = random.Random(10)
     sample = [random_dc(rng) for _ in range(40)]
@@ -356,3 +414,31 @@ def test_chained_operations_match_plain_references(start, steps):
             if all(c.denominator == 1 for c in result.coefficients()):
                 assert all(type(c) is int for c in result.coefficients()), (op, result)
         value, plain = result, expected
+
+
+@SEEDED
+@given(operands, st.lists(st.tuples(st.sampled_from(OPS), operands, scalars, st.integers(0, 5)),
+                          min_size=2, max_size=5))
+def test_unread_results_feed_the_next_kernel(start, steps):
+    """Chains in which no coefficient is read between steps; the other operand may be an earlier result."""
+    history = [(start, DualComplex(*start.coefficients()))]
+    for op, operand, s, pick in steps:
+        value, plain = history[-1]
+        other, plain_other = history[pick - 1] if 0 < pick <= len(history) else (operand, operand)
+        divisor = plain_other if op == "/" else plain
+        if op in ("/", Conjugation.DUAL_COMPLEX) and divisor.has_zero_complex_part():
+            op = "+"
+        was_unread = [w for w in (value, other) if unread(w)]
+        result = apply(op, value, other, s)
+        assert type(result) is DualComplex
+        inputs = plain.coefficients()
+        inputs += plain_other.coefficients() if op in ("+", "-", "*", "/") else (s,) if op == "scale" else ()
+        if QuadExt not in map(type, inputs):
+            # over Q the kernels read forms; only the QuadExt route reads coefficients
+            assert all(unread(w) for w in was_unread), op
+            assert not result._form or unread(result), op
+        history.append((result, DualComplex(*reference(op, plain, plain_other, s))))
+    for result, expected in history:
+        assert result == expected and expected == result
+    for result, expected in history:
+        assert hash(result) == hash(expected) and result.coefficients() == expected.coefficients()
