@@ -1,94 +1,74 @@
-"""Exact dual-complex k-Pell arithmetic and identity verification."""
+"""Exact dual-complex k-Pell arithmetic and identity verification.
 
-from .dualcomplex import (
-    DC_EPS,
-    DC_I,
-    DC_IEPS,
-    DC_ONE,
-    DC_ZERO,
-    Conjugation,
-    DualComplex,
-    NonInvertibleError,
-)
-from .identities import CATALOG, IdentityId, identity_sides, required_bindings
-from .quaternions import (
-    PellQuaternion,
-    binet_quaternion,
-    build_quaternion,
-    gamma_closed,
-    gamma_coefficient,
-    hat_pair,
-)
-from .scalars import QuadExt, make_alpha_beta, parse_rational, rationalize, render_rational
-from .sequences import (
-    Family,
-    SequenceSpec,
-    dc_number,
-    pell_term,
-    seq_binet,
-    seq_prefix_sum,
-    seq_row,
-    seq_term,
-    seq_term_fast,
-    terms,
-)
-from .verifier import (
-    Counterexample,
-    IdentityReport,
-    SweepConfig,
-    Verdict,
-    check_one,
-    default_config,
-    report_to_dict,
-    reports_to_json,
-    summary_lines,
-    sweep,
-)
+Importing the package loads none of its modules: each public name below is
+imported from its home module on first use (PEP 562), so a command or a
+caller pays only for the modules it reads.
+"""
 
-__all__ = [
-    "CATALOG",
-    "Conjugation",
-    "Counterexample",
-    "DC_EPS",
-    "DC_I",
-    "DC_IEPS",
-    "DC_ONE",
-    "DC_ZERO",
-    "DualComplex",
-    "Family",
-    "IdentityId",
-    "IdentityReport",
-    "NonInvertibleError",
-    "PellQuaternion",
-    "QuadExt",
-    "SequenceSpec",
-    "SweepConfig",
-    "Verdict",
-    "binet_quaternion",
-    "build_quaternion",
-    "check_one",
-    "dc_number",
-    "default_config",
-    "gamma_closed",
-    "gamma_coefficient",
-    "hat_pair",
-    "identity_sides",
-    "make_alpha_beta",
-    "parse_rational",
-    "pell_term",
-    "rationalize",
-    "render_rational",
-    "report_to_dict",
-    "reports_to_json",
-    "required_bindings",
-    "seq_binet",
-    "seq_prefix_sum",
-    "seq_row",
-    "seq_term",
-    "seq_term_fast",
-    "summary_lines",
-    "sweep",
-    "terms",
-]
+import importlib
+
+_HOMES = {
+    "dualcomplex": (
+        "DC_EPS",
+        "DC_I",
+        "DC_IEPS",
+        "DC_ONE",
+        "DC_ZERO",
+        "Conjugation",
+        "DualComplex",
+        "NonInvertibleError",
+    ),
+    "identities": ("CATALOG", "IdentityId", "identity_sides", "required_bindings"),
+    "quaternions": (
+        "PellQuaternion",
+        "binet_quaternion",
+        "build_quaternion",
+        "gamma_closed",
+        "gamma_coefficient",
+        "hat_pair",
+    ),
+    "scalars": ("QuadExt", "make_alpha_beta", "parse_rational", "rationalize", "render_rational"),
+    "sequences": (
+        "Family",
+        "SequenceSpec",
+        "dc_number",
+        "pell_term",
+        "seq_binet",
+        "seq_prefix_sum",
+        "seq_row",
+        "seq_term",
+        "seq_term_fast",
+        "terms",
+    ),
+    "verifier": (
+        "Counterexample",
+        "IdentityReport",
+        "SweepConfig",
+        "Verdict",
+        "check_one",
+        "default_config",
+        "report_to_dict",
+        "reports_to_json",
+        "summary_lines",
+        "sweep",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # An unknown name raises AttributeError, so `from dualpell import verifier`
+    # falls back to importing the submodule.
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,13 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .identities import CATALOG, IdentityId, identity_sides, required_bindings
-from .quaternions import build_quaternion
+# Eager, unlike each command's imports: bench/spans.py reads it from sys.modules.
+from . import verifier
 from .scalars import parse_rational, positive_k
-from .sequences import Family, seq_row
-from .verifier import SweepConfig, default_config, reports_to_json, summary_lines, sweep
+
+if TYPE_CHECKING:
+    from .identities import IdentityId
+    from .sequences import Family
 
 USAGE_ERROR = 2
 UNEQUAL = 1
@@ -52,7 +56,23 @@ def _int_range(text: str) -> tuple[int, int]:
 
 
 @_usage
+def _family(text: str) -> Family:
+    from .sequences import Family
+
+    return Family.from_name(text)
+
+
+@_usage
+def _identity_id(text: str) -> IdentityId:
+    from .identities import IdentityId
+
+    return IdentityId.from_tag(text)
+
+
+@_usage
 def _identity_ids(text: str) -> tuple[IdentityId, ...]:
+    from .identities import CATALOG, IdentityId
+
     if text.strip().lower() == "all":
         return tuple(CATALOG)
     return tuple(IdentityId.from_tag(part) for part in text.split(","))
@@ -66,6 +86,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     if args.start > args.end:
         print("error: --from must not exceed --to", file=sys.stderr)
         return USAGE_ERROR
+    from .sequences import seq_row
+
     terms = seq_row(args.family, args.k, args.start, args.end - args.start + 1)
     values = [str(term) for term in terms]
     if args.format == "csv":
@@ -86,6 +108,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_quat(args: argparse.Namespace) -> int:
+    from .quaternions import build_quaternion
+
     quaternion = build_quaternion(args.family, args.k, args.n)
     if args.format == "plain":
         print(quaternion.value.render())
@@ -95,6 +119,8 @@ def _cmd_quat(args: argparse.Namespace) -> int:
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
+    from .identities import identity_sides, required_bindings
+
     bindings: dict = {}
     for name in ("k", "n", "m", "r"):
         value = getattr(args, name)
@@ -119,33 +145,39 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        ids=args.ids,
-        k_values=args.k,
-        n_range=args.n,
-        m_range=args.m,
-        r_range=args.r,
-        max_counterexamples=args.max_counterexamples,
+    given = {
+        "ids": args.ids,
+        "k_values": args.k,
+        "n_range": args.n,
+        "m_range": args.m,
+        "r_range": args.r,
+        "max_counterexamples": args.max_counterexamples,
+    }
+    config = replace(
+        verifier.default_config(),
+        **{field: value for field, value in given.items() if value is not None},
     )
-    reports = sweep(config)
+    reports = verifier.sweep(config)
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(reports_to_json(reports) + "\n")
+                handle.write(verifier.reports_to_json(reports) + "\n")
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return USAGE_ERROR
     if args.format == "csv":
         print("identity,verdict,grid_size,skipped")
-        for line in summary_lines(reports):
+        for line in verifier.summary_lines(reports):
             print(",".join(line.split()))
     else:
-        for line in summary_lines(reports):
+        for line in verifier.summary_lines(reports):
             print(line)
     return 0
 
 
 def _cmd_binet(args: argparse.Namespace) -> int:
+    from .identities import IdentityId, identity_sides
+
     bindings = {"k": args.k, "n": args.n}
     if args.level == "number":
         closed, direct = identity_sides(IdentityId.BINET_NUMBER, bindings)
@@ -188,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_seq = sub.add_parser("seq", help="print a stretch of a sequence")
-    p_seq.add_argument("--family", type=_usage(Family.from_name), required=True)
+    p_seq.add_argument("--family", type=_family, required=True)
     p_seq.add_argument("--k", type=_k, required=True)
     p_seq.add_argument("--from", dest="start", type=int, required=True)
     p_seq.add_argument("--to", dest="end", type=int, required=True)
@@ -196,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.set_defaults(func=_cmd_seq)
 
     p_quat = sub.add_parser("quat", help="print one dual-complex quaternion")
-    p_quat.add_argument("--family", type=_usage(Family.from_name), required=True)
+    p_quat.add_argument("--family", type=_family, required=True)
     p_quat.add_argument("--k", type=_k, required=True)
     p_quat.add_argument("--n", type=int, required=True)
     p_quat.add_argument("--format", choices=("json", "plain"), default="json")
     p_quat.set_defaults(func=_cmd_quat)
 
     p_id = sub.add_parser("identity", help="check one identity at one tuple")
-    p_id.add_argument("--id", type=_usage(IdentityId.from_tag), required=True)
+    p_id.add_argument("--id", type=_identity_id, required=True)
     p_id.add_argument("--k", type=_k)
     p_id.add_argument("--n", type=int)
     p_id.add_argument("--m", type=int)
@@ -211,18 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--format", choices=("json", "plain"), default="json")
     p_id.set_defaults(func=_cmd_identity)
 
-    grid = default_config()
+    # Unset grid flags stay None and _cmd_sweep takes them from default_config(),
+    # so building the parser loads no catalog.
     p_sweep = sub.add_parser("sweep", help="sweep identities over a parameter grid")
-    p_sweep.add_argument("--ids", type=_identity_ids, default=grid.ids)
-    p_sweep.add_argument(
-        "--k", type=lambda text: tuple(map(_k, text.split(","))), default=grid.k_values
-    )
-    p_sweep.add_argument("--n", type=_int_range, default=grid.n_range)
-    p_sweep.add_argument("--m", type=_int_range, default=grid.m_range)
-    p_sweep.add_argument("--r", type=_int_range, default=grid.r_range)
-    p_sweep.add_argument(
-        "--max-counterexamples", type=_nonnegative_int, default=grid.max_counterexamples
-    )
+    p_sweep.add_argument("--ids", type=_identity_ids)
+    p_sweep.add_argument("--k", type=lambda text: tuple(map(_k, text.split(","))))
+    p_sweep.add_argument("--n", type=_int_range)
+    p_sweep.add_argument("--m", type=_int_range)
+    p_sweep.add_argument("--r", type=_int_range)
+    p_sweep.add_argument("--max-counterexamples", type=_nonnegative_int)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--format", choices=("plain", "csv"), default="plain")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .dualcomplex import DC_EPS, DC_I, DC_IEPS, Conjugation, DualComplex
+# Stays at the top: bench/spans.py reads quaternions from sys.modules after importing this.
 from .quaternions import binet_quaternion
 from .scalars import exact_index, positive_k
 from .sequences import Family, Terms, seq_binet, seq_prefix_sum

@@ -16,14 +16,15 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .dualcomplex import DualComplex
-from .identities import CATALOG, IdentityId, identity_sides
 from .scalars import positive_k
-from .sequences import Terms
 
-_CATALOG_ORDER = {ident: pos for pos, ident in enumerate(CATALOG)}
+# `identities` and `sequences` are imported where they are used, so a CLI
+# command that never sweeps does not load the catalog.
+if TYPE_CHECKING:
+    from .dualcomplex import DualComplex
+    from .identities import IdentityId
 
 
 class Verdict(Enum):
@@ -34,6 +35,8 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """The grid of one sweep: identities, k values, inclusive index ranges."""
+
     ids: tuple[IdentityId, ...]
     k_values: tuple[Fraction | int, ...]
     n_range: tuple[int, int]
@@ -43,6 +46,8 @@ class SweepConfig:
 
 
 def default_config() -> SweepConfig:
+    from .identities import CATALOG
+
     return SweepConfig(
         ids=tuple(CATALOG),
         k_values=(1, 2, 3, 4),
@@ -54,6 +59,8 @@ def default_config() -> SweepConfig:
 
 @dataclass(frozen=True)
 class Counterexample:
+    """One failing tuple: its bindings and both sides, or the error it raised."""
+
     bindings: dict
     lhs: DualComplex | None
     rhs: DualComplex | None
@@ -62,6 +69,8 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """The verdict of one identity over its grid, with its first counterexamples."""
+
     id: IdentityId
     grid_size: int
     skipped: int
@@ -74,12 +83,16 @@ def check_one(
     ident: IdentityId, bindings: dict
 ) -> tuple[bool, DualComplex, DualComplex]:
     """Evaluate one tuple; equal is exact coefficient-wise equality."""
+    from .identities import identity_sides
+
     lhs, rhs = identity_sides(ident, bindings)
     return lhs == rhs, lhs, rhs
 
 
 def _normalize(config: SweepConfig) -> SweepConfig:
-    ids = tuple(sorted(set(config.ids), key=_CATALOG_ORDER.__getitem__))
+    from .identities import CATALOG
+
+    ids = tuple(sorted(set(config.ids), key=list(CATALOG).index))
     ks = tuple(sorted({positive_k(k) for k in config.k_values}))
     return replace(config, ids=ids, k_values=ks)
 
@@ -91,6 +104,9 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
     evaluation errors are recorded as failures, not raised, so one bad tuple
     cannot abort the sweep.
     """
+    from .identities import CATALOG
+    from .sequences import Terms
+
     config = _normalize(config)
     ranges = {"n": config.n_range, "m": config.m_range, "r": config.r_range}
     axes = {name: range(lo, hi + 1) for name, (lo, hi) in ranges.items()}

@@ -1,0 +1,96 @@
+"""Lazy start-up: what a fresh process loads, and the public surface it keeps.
+
+`import dualpell` loads no submodule, and each CLI command imports the
+modules it runs inside the command. The in-process CLI tests cannot see a
+missing import there, since this suite imports the whole package first, so
+the commands also run here in fresh interpreters.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dualpell
+from dualpell.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def fresh(*argv: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with warnings as errors and this checkout's package."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+    return subprocess.run(
+        [sys.executable, "-W", "error", *argv], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+def loaded_after(code: str) -> set[str]:
+    """The dualpell submodules loaded once ``code`` has run in a fresh interpreter."""
+    done = fresh("-c", code + "\nimport sys\nprint(*sorted(sys.modules))")
+    assert done.returncode == 0, done.stderr[-2000:]
+    return {name for name in done.stdout.split() if name.startswith("dualpell.")}
+
+
+def test_import_loads_no_submodule_and_seq_loads_no_catalog():
+    assert loaded_after("import dualpell") == set()
+    seq = loaded_after(
+        "import contextlib, io\n"
+        "from dualpell.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['seq', '--family', 'pell', '--k', '2', '--from', '0', '--to', '9']) == 0"
+    )
+    assert seq == {f"dualpell.{m}" for m in ("scalars", "dualcomplex", "sequences", "verifier", "cli")}
+
+
+def test_tracer_finds_every_module_after_cli_and_identities():
+    # bench/spans.py imports identities after dualpell.cli, then reads these from sys.modules.
+    modules = loaded_after("import dualpell.cli\nfrom dualpell import identities")
+    for name in ("scalars", "dualcomplex", "sequences", "quaternions", "verifier", "cli"):
+        assert f"dualpell.{name}" in modules
+
+
+def test_public_names_resolve_from_their_home_modules():
+    for name in dualpell.__all__:
+        value = getattr(dualpell, name)
+        home = sys.modules[f"dualpell.{dualpell._HOME[name]}"]
+        assert value is getattr(home, name)
+    namespace: dict = {}
+    exec("from dualpell import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(dualpell.__all__)
+    assert set(dualpell.__all__) <= set(dir(dualpell))
+    assert "__version__" in dir(dualpell)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dualpell.no_such_name
+    from dualpell import verifier
+
+    assert verifier is sys.modules["dualpell.verifier"]
+    assert dualpell.sweep is verifier.sweep
+
+
+COMMANDS = {
+    "seq": ["seq", "--family", "pell", "--k", "2", "--from", "0", "--to", "5", "--format", "csv"],
+    "quat": ["quat", "--family", "pell-lucas", "--k", "3/2", "--n", "4"],
+    "identity": ["identity", "--id", "f31", "--k", "2", "--n", "1", "--format", "plain"],
+    "binet": ["binet", "--k", "3", "--n", "3", "--level", "quaternion"],
+    "sweep": ["sweep", "--ids", "g18"],
+    "help": ["--help"],
+    "sweep-help": ["sweep", "--help"],
+    "usage-error": ["identity", "--id", "nope", "--k", "1", "--n", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+def test_fresh_process_cli_matches_in_process(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help and usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    done = fresh("-m", "dualpell", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
