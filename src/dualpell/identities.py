@@ -159,28 +159,16 @@ def _sides_f31(t, n):
 
 # --- quaternion identities (G9-G19) ------------------------------------------
 
-def _sides_g10(t, n):
-    lhs = t.qq(n + 1, n + 1) + t.qq(n, n).scale(t.k)
-    tail = _dc(
-        -t.p(2 * n + 3),
-        t.p(2 * n + 2),
-        t.p(2 * n + 3) - 2 * t.p(2 * n + 5),
-        3 * t.p(2 * n + 4),
-    )
-    return lhs, t.q(2 * n + 1) + tail
+def _honsberger_rhs(t, s):
+    tail = _dc(-t.p(s + 2), t.p(s + 1), t.p(s + 2) - 2 * t.p(s + 4), 3 * t.p(s + 3))
+    return t.q(s) + tail
 
 
 def _sides_g11(t, n):
     lhs = t.qq(n + 1, n + 1) - t.qq(n - 1, n - 1).scale(t.k * t.k)
     # Q_{n+1} - kQ_{n-1} = 2Q_n and the ring commutes, so the left side is
-    # 2(kQ_{n-1}Q_n + Q_nQ_{n+1}): twice g13 at m = n, whose tail gives this one.
-    tail = _dc(
-        t.p(2 * n + 2),
-        -t.p(2 * n + 1),
-        2 * t.p(2 * n + 4) - t.p(2 * n + 2),
-        -3 * t.p(2 * n + 3),
-    )
-    return lhs, t.q(2 * n).scale(2) - tail.scale(2)
+    # 2(kQ_{n-1}Q_n + Q_nQ_{n+1}): twice g13 at m = n.
+    return lhs, _honsberger_rhs(t, 2 * n).scale(2)
 
 
 def _sides_g12(t, n):
@@ -194,10 +182,7 @@ def _sides_g12(t, n):
 
 
 def _sides_g13(t, n, m):
-    s = n + m
-    lhs = t.qq(n - 1, m).scale(t.k) + t.qq(n, m + 1)
-    tail = _dc(-t.p(s + 2), t.p(s + 1), t.p(s + 2) - 2 * t.p(s + 4), 3 * t.p(s + 3))
-    return lhs, t.q(s) + tail
+    return t.qq(n - 1, m).scale(t.k) + t.qq(n, m + 1), _honsberger_rhs(t, n + m)
 
 
 def _sides_g14(t, n):
@@ -210,11 +195,6 @@ def _sides_g14(t, n):
 def _sides_g17(t, n, m):
     lhs = t.qq(m, n + 1) - t.qq(m + 1, n)
     return lhs, t.gamma.scale(_sign(n) * t.k**n * t.p(m - n))
-
-
-def _sides_g18(t, n):
-    lhs = t.qq(n - 1, n + 1) - t.qq(n, n)
-    return lhs, t.gamma.scale(_sign(n) * t.k ** (n - 1))
 
 
 def _sides_g19_stated(t, n, r):
@@ -313,7 +293,9 @@ def _pre_catalan(n: int, r: int) -> bool:
 
 
 # F22S, F23 and F25 restate F12S, F13 and F15, and G9 restates F26; each
-# pair shares one entry.
+# pair shares one entry. G10 and G18 are G13 (Honsberger) at (n + 1, n) and
+# G19PROOF (Catalan) at (n, 1): their rows call those functions, not their
+# CATALOG entries, and keep their own params, pre and entry.
 _F12S = CatalogEntry(_product_entry(Conjugation.COMPLEX, _rhs_f12_simplified))
 _F13 = CatalogEntry(_product_entry(Conjugation.DUAL, _rhs_f13))
 _F15 = CatalogEntry(_product_entry(Conjugation.DUAL_COMPLEX, _rhs_pure_scalar))
@@ -351,13 +333,13 @@ class IdentityId(Enum):
     F30 = "f30", CatalogEntry(_sides_f30)
     F31 = "f31", CatalogEntry(_sides_f31)
     G9 = "g9", _F26
-    G10 = "g10", CatalogEntry(_sides_g10)
+    G10 = "g10", CatalogEntry(lambda t, n: _sides_g13(t, n + 1, n))
     G11 = "g11", CatalogEntry(_sides_g11)
     G12 = "g12", CatalogEntry(_sides_g12)
     G13 = "g13", CatalogEntry(_sides_g13, ("n", "m"))
     G14 = "g14", CatalogEntry(_sides_g14)
     G17 = "g17", CatalogEntry(_sides_g17, ("n", "m"))
-    G18 = "g18", CatalogEntry(_sides_g18, pre=_pre_n1)
+    G18 = "g18", CatalogEntry(lambda t, n: _sides_g19_proof(t, n, 1), pre=_pre_n1)
     G19STATED = "g19stated", CatalogEntry(_sides_g19_stated, ("n", "r"), _pre_catalan)
     G19PROOF = "g19proof", CatalogEntry(_sides_g19_proof, ("n", "r"), _pre_catalan)
     HELPER_HONSBERGER = "helper_honsberger", CatalogEntry(_sides_helper_honsberger, ("n", "m"))
@@ -372,6 +354,8 @@ class IdentityId(Enum):
 
     @classmethod
     def from_tag(cls, tag: str) -> "IdentityId":
+        if type(tag) is not str:
+            raise TypeError(f"identity tag must be str, got {type(tag).__name__}")
         try:
             return cls(tag.strip().lower())
         except ValueError:
@@ -384,6 +368,8 @@ CATALOG: dict[IdentityId, CatalogEntry] = {ident: ident._entry for ident in Iden
 
 
 def required_bindings(ident: IdentityId) -> tuple[str, ...]:
+    if type(ident) is not IdentityId:
+        raise ValueError(f"identity must be an IdentityId, got {ident!r}")
     entry = CATALOG[ident]
     return (("k",) if entry.uses_k else ()) + entry.params
 
@@ -396,8 +382,8 @@ def identity_sides(
     Bindings must supply exactly the parameters the identity quantifies over
     (k and a subset of n, m, r) and satisfy its range preconditions.
     """
-    entry = CATALOG[ident]
     required = required_bindings(ident)
+    entry = CATALOG[ident]
     missing = [name for name in required if name not in bindings]
     extra = [name for name in bindings if name not in required]
     if missing or extra:

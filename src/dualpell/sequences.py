@@ -32,6 +32,8 @@ class Family(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "Family":
+        if type(name) is not str:
+            raise TypeError(f"family name must be str, got {type(name).__name__}")
         key = name.strip().lower()
         aliases = {
             "pell": cls.K_PELL,
@@ -48,6 +50,13 @@ class Family(Enum):
         return aliases[key]
 
 
+def _checked_family(family: Family) -> Family:
+    """family, which must be a Family member: any other value would read as MP."""
+    if type(family) is not Family:
+        raise ValueError(f"family must be a Family, got {family!r}")
+    return family
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """A concrete sequence: the family plus its exact positive parameter k."""
@@ -56,6 +65,7 @@ class SequenceSpec:
     k: Fraction | int
 
     def __post_init__(self) -> None:
+        _checked_family(self.family)
         object.__setattr__(self, "k", positive_k(self.k))
 
 
@@ -187,6 +197,7 @@ def seq_row(
     family: Family, k: Fraction | int, lo: int, count: int
 ) -> tuple[Fraction | int, ...]:
     """The terms S_lo ... S_{lo+count-1} of the family at k, read through terms(k)."""
+    family = _checked_family(family)
     return terms(k).row(family, exact_index(lo, name="lo"), exact_index(count, 0, "count"))
 
 
@@ -227,4 +238,4 @@ def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:
 
 def dc_number(family: Family, k: Fraction | int, n: int) -> DualComplex:
     """Dual-complex number S_n + i S_{n+1} + eps S_{n+2} + i eps S_{n+3}."""
-    return terms(k).d(family, exact_index(n))
+    return terms(k).d(_checked_family(family), exact_index(n))

@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
-from .scalars import positive_k
+from .scalars import exact_index, positive_k
 
 # `identities` and `sequences` are imported where they are used, so a CLI
 # command that never sweeps does not load the catalog.
@@ -90,11 +90,27 @@ def check_one(
 
 
 def _normalize(config: SweepConfig) -> SweepConfig:
-    from .identities import CATALOG
+    """config checked field by field, with ids in catalog order and k values sorted, each once."""
+    from .identities import CATALOG, IdentityId
 
-    ids = tuple(sorted(set(config.ids), key=list(CATALOG).index))
-    ks = tuple(sorted({positive_k(k) for k in config.k_values}))
-    return replace(config, ids=ids, k_values=ks)
+    for ident in config.ids:
+        if type(ident) is not IdentityId:
+            raise ValueError(f"ids must hold IdentityId members, got {ident!r}")
+    ranges = {}
+    for field in ("n_range", "m_range", "r_range"):
+        bounds = getattr(config, field)
+        try:
+            lo, hi = bounds
+        except (TypeError, ValueError):
+            raise ValueError(f"{field} must be a (lo, hi) pair, got {bounds!r}") from None
+        ranges[field] = (exact_index(lo, name=field), exact_index(hi, name=field))
+    return replace(
+        config,
+        ids=tuple(sorted(set(config.ids), key=list(CATALOG).index)),
+        k_values=tuple(sorted({positive_k(k) for k in config.k_values})),
+        max_counterexamples=exact_index(config.max_counterexamples, 0, "max_counterexamples"),
+        **ranges,
+    )
 
 
 def sweep(config: SweepConfig) -> list[IdentityReport]:

@@ -4,7 +4,7 @@ import json
 import sys
 from contextlib import contextmanager
 
-from dualpell import DualComplex, pell_term
+from dualpell import CATALOG, DualComplex, pell_term
 from dualpell.cli import main
 
 
@@ -242,3 +242,29 @@ def test_binet_plain_at_rational_k(capsys):
                        "--format", "plain")
     assert code == 0
     assert out == "13/2 + 18·i + 209/4·eps + 299/2·i·eps\nconsistent: true\n"
+
+
+def test_sweep_single_n_is_a_one_point_range(capsys):
+    code, out, _ = run(capsys, "sweep", "--ids", "g18", "--k", "1", "--n", "5")
+    assert code == 0
+    assert out.strip() == "g18 holds 1 0"
+
+
+def test_sweep_reversed_n_range_exit_two(capsys):
+    code, _, err = run(capsys, "sweep", "--ids", "g18", "--n", "3..1")
+    assert code == 2
+    assert "empty range: '3..1'" in err
+
+
+def test_sweep_ids_all_runs_the_whole_catalog(capsys):
+    code, out, _ = run(capsys, "sweep", "--ids", "all", "--k", "1",
+                       "--n", "1", "--m", "1", "--r", "1")
+    assert code == 0
+    tags = [line.split()[0] for line in out.strip().splitlines()]
+    assert tags == [ident.value for ident in CATALOG]
+
+
+def test_identity_without_k_drops_the_k_flag(capsys):
+    code, out, _ = run(capsys, "identity", "--id", "ring_axioms", "--k", "2", "--n", "0")
+    assert code == 0
+    assert json.loads(out)["equal"] is True

@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from dualpell import CATALOG, DualComplex, IdentityId, check_one, identity_sides
+from dualpell import (
+    CATALOG,
+    DualComplex,
+    IdentityId,
+    check_one,
+    identity_sides,
+    required_bindings,
+)
 
 
 def dc(one, i=0, eps=0, ieps=0):
@@ -202,3 +209,24 @@ def test_int_and_fraction_bindings_accepted():
     assert identity_sides(IdentityId.G9, {"k": 2, "n": 3}) == identity_sides(
         IdentityId.G9, {"k": Fraction(2), "n": 3}
     )
+
+
+NOT_AN_ID = ["g18", "G18", 18, None]
+
+
+@pytest.mark.parametrize("ident", NOT_AN_ID)
+def test_identity_sides_rejects_an_id_that_is_not_an_identity_id(ident):
+    with pytest.raises(ValueError, match="identity must be an IdentityId"):
+        identity_sides(ident, bindings(k=1, n=1))
+
+
+@pytest.mark.parametrize("ident", NOT_AN_ID)
+def test_required_bindings_rejects_an_id_that_is_not_an_identity_id(ident):
+    with pytest.raises(ValueError, match="identity must be an IdentityId"):
+        required_bindings(ident)
+
+
+@pytest.mark.parametrize("tag", [None, 18, b"g18", IdentityId.G18])
+def test_from_tag_rejects_a_non_str(tag):
+    with pytest.raises(TypeError, match="identity tag must be str"):
+        IdentityId.from_tag(tag)

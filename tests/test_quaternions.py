@@ -144,3 +144,9 @@ def test_gamma_ieps_slot_is_product_form():
 
 def test_dc_number_alias_of_build():
     assert build_quaternion(Family.K_PELL, 2, 1).value == dc_number(Family.K_PELL, 2, 1)
+
+
+@pytest.mark.parametrize("family", ["pell", "mp", 0, None])
+def test_build_quaternion_rejects_a_family_that_is_not_a_family(family):
+    with pytest.raises(ValueError, match="family must be a Family"):
+        build_quaternion(family, 2, 1)

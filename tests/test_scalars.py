@@ -172,3 +172,14 @@ def test_pow_matches_repeated_multiplication():
         assert alpha**exponent == acc
         acc = acc * alpha
     assert alpha**-2 == 1 / (alpha * alpha)
+
+
+@pytest.mark.parametrize("d", [0, -2, Fraction(-1, 2)])
+def test_nonpositive_radicand_rejected(d):
+    with pytest.raises(ValueError, match="radicand must be positive"):
+        QuadExt(1, 1, d)
+
+
+def test_str_of_a_rational_quadext_is_its_rational_part():
+    assert str(QuadExt(3, 0, 2)) == "3"
+    assert str(QuadExt(Fraction(-1, 2), 0, 5)) == "-1/2"

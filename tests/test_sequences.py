@@ -13,6 +13,7 @@ from dualpell import (
     pell_term,
     seq_binet,
     seq_prefix_sum,
+    seq_row,
     seq_term,
     seq_term_fast,
 )
@@ -185,3 +186,35 @@ def test_cache_is_transparent():
     rng.shuffle(indices)
     for n in indices:
         assert pell_term(k, n) == row[n]
+
+
+# A value that is not a Family member once read as the modified k-Pell numbers.
+NOT_A_FAMILY = ["pell", "p", "mp", 0, None]
+
+
+@pytest.mark.parametrize("family", NOT_A_FAMILY)
+def test_seq_row_rejects_a_family_that_is_not_a_family(family):
+    with pytest.raises(ValueError, match="family must be a Family"):
+        seq_row(family, 2, 0, 3)
+
+
+@pytest.mark.parametrize("family", NOT_A_FAMILY)
+def test_dc_number_rejects_a_family_that_is_not_a_family(family):
+    from dualpell import sequences
+
+    k = Fraction(1009, 997)  # read nowhere else, so its memo starts empty
+    with pytest.raises(ValueError, match="family must be a Family"):
+        dc_number(family, k, 1)
+    assert sequences._shared(k)[3:] == [None, None]  # no PL or MP numbers built
+
+
+@pytest.mark.parametrize("family", NOT_A_FAMILY)
+def test_sequence_spec_rejects_a_family_that_is_not_a_family(family):
+    with pytest.raises(ValueError, match="family must be a Family"):
+        SequenceSpec(family, 2)
+
+
+@pytest.mark.parametrize("name", [3, None, b"pell", Family.K_PELL])
+def test_family_from_name_rejects_a_non_str(name):
+    with pytest.raises(TypeError, match="family name must be str"):
+        Family.from_name(name)

@@ -1,9 +1,14 @@
 """Sweep mechanics: determinism, verdict classification, skip accounting."""
 
 import dataclasses
+import json
+import re
 from fractions import Fraction
 
+import pytest
+
 from dualpell import (
+    CATALOG,
     IdentityId,
     SweepConfig,
     Verdict,
@@ -146,4 +151,69 @@ def test_skip_counts_scale_with_k_but_not_for_sample_entries():
         IdentityId.G18: (12, 9),
         IdentityId.G19PROOF: (27, 36),
         IdentityId.RING_AXIOMS: (5, 2),
+    }
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_range", (0.0, 3), "n_range must be int, got 0.0"),
+        ("m_range", (0, 3.5), "m_range must be int, got 3.5"),
+        ("n_range", (True, 3), "n_range must be int, got True"),
+        ("r_range", (1, False), "r_range must be int, got False"),
+        ("n_range", 5, "n_range must be a (lo, hi) pair, got 5"),
+        ("m_range", (0, 1, 2), "m_range must be a (lo, hi) pair, got (0, 1, 2)"),
+        ("max_counterexamples", -1, "max_counterexamples must be >= 0, got -1"),
+        ("max_counterexamples", True, "max_counterexamples must be int, got True"),
+        ("max_counterexamples", 2.0, "max_counterexamples must be int, got 2.0"),
+        ("ids", ("g18",), "ids must hold IdentityId members, got 'g18'"),
+    ],
+)
+def test_sweep_rejects_a_malformed_config_naming_the_field(field, value, message):
+    config = dataclasses.replace(small_config([IdentityId.G18]), **{field: value})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep(config)
+
+
+def test_reversed_range_gives_an_empty_grid():
+    # a cap of 0 counterexamples is valid too
+    config = dataclasses.replace(small_config([IdentityId.G18], n=(3, 1)), max_counterexamples=0)
+    (report,) = sweep(config)
+    assert (report.grid_size, report.skipped, report.verdict) == (0, 0, Verdict.HOLDS)
+
+
+def _raising_sides(t, *values):
+    raise ZeroDivisionError("stand-in fault")
+
+
+def test_sides_that_raise_are_recorded_as_failures(monkeypatch):
+    # the sweep reads each entry through CATALOG, where a tracer swaps them
+    entry = dataclasses.replace(CATALOG[IdentityId.G18], sides=_raising_sides)
+    monkeypatch.setitem(CATALOG, IdentityId.G18, entry)
+    (report,) = sweep(small_config([IdentityId.G18], n=(1, 3)))
+    assert report.verdict is Verdict.FAILS
+    first = report.counterexamples[0]
+    assert first.bindings == {"k": 1, "n": 1}
+    assert first.lhs is None and first.rhs is None
+    assert first.error == "ZeroDivisionError: stand-in fault"
+    payload = json.loads(reports_to_json([report], zero_elapsed=True))
+    assert payload[0]["counterexamples"][0] == {
+        "k": "1", "n": 1, "lhs": None, "rhs": None, "error": "ZeroDivisionError: stand-in fault",
+    }
+
+
+def test_fixed_index_rows_do_not_read_the_entry_they_restate(monkeypatch):
+    # g10, g11 and g18 call g13's and g19proof's functions, not their CATALOG
+    # entries, so each id's sides are timed apart from the ones it restates
+    for ident in (IdentityId.G13, IdentityId.G19PROOF):
+        broken = dataclasses.replace(CATALOG[ident], sides=_raising_sides)
+        monkeypatch.setitem(CATALOG, ident, broken)
+    ids = [IdentityId.G10, IdentityId.G11, IdentityId.G13, IdentityId.G18, IdentityId.G19PROOF]
+    verdicts = {r.id: r.verdict for r in sweep(small_config(ids, n=(1, 4), m=(0, 2), r=(1, 2)))}
+    assert verdicts == {
+        IdentityId.G10: Verdict.HOLDS,
+        IdentityId.G11: Verdict.HOLDS,
+        IdentityId.G13: Verdict.FAILS,
+        IdentityId.G18: Verdict.HOLDS,
+        IdentityId.G19PROOF: Verdict.FAILS,
     }
