@@ -7,7 +7,9 @@ bug. Scalar identities are embedded as dual-complex values with zero i, eps
 and i*eps slots so a single report format covers the whole catalog. Each
 entry's ``sides(t, n, ...)`` reads its terms, products Q_a Q_b and gamma from
 a view ``t = Terms(k)`` made for the evaluation, and takes its integer
-bindings as arguments, in the order of the entry's ``params``.
+bindings as arguments, in the order of the entry's ``params``. A right side
+that depends on fewer indices than its entry, and so repeats across a grid,
+is read through ``t.once`` and built once per view.
 
 Two entries (ring_axioms, div_roundtrip) are sample-based rather than
 grid-based: they take no k (``t`` is None) and the integer binding n selects
@@ -182,7 +184,7 @@ def _sides_g12(t, n):
 
 
 def _sides_g13(t, n, m):
-    return t.qq(n - 1, m).scale(t.k) + t.qq(n, m + 1), _honsberger_rhs(t, n + m)
+    return t.qq(n - 1, m).scale(t.k) + t.qq(n, m + 1), t.once(_honsberger_rhs, n + m)
 
 
 def _sides_g14(t, n):
@@ -192,30 +194,39 @@ def _sides_g14(t, n):
     return total, closed.scale(Fraction(1, t.k + 1))
 
 
+def _neg_k_pow(t, j):
+    return (-t.k) ** j
+
+
 def _sides_g17(t, n, m):
     lhs = t.qq(m, n + 1) - t.qq(m + 1, n)
-    return lhs, t.gamma.scale(_sign(n) * t.k**n * t.p(m - n))
+    return lhs, t.gamma.scale(t.once(_neg_k_pow, n) * t.p(m - n))
 
 
 def _sides_g19_stated(t, n, r):
     lhs = t.qq(n, n) - t.qq(n + r, n - r)
-    return lhs, t.gamma.scale((-t.k) ** (n - r + 1) * t.p(r) ** 2)
+    return lhs, t.gamma.scale(t.once(_neg_k_pow, n - r + 1) * t.p(r) ** 2)
 
 
 def _sides_g19_proof(t, n, r):
     lhs = t.qq(n - r, n + r) - t.qq(n, n)
-    return lhs, t.gamma.scale(_sign(n - r + 1) * t.k ** (n - r) * t.p(r) ** 2)
+    return lhs, t.gamma.scale(-t.once(_neg_k_pow, n - r) * t.p(r) ** 2)
 
 
 # --- scalar helper identities from the quaternion proofs ---------------------
 
+def _p_number(t, j):
+    return _dc(t.p(j))
+
+
 def _sides_helper_honsberger(t, n, m):
-    return _dc(t.k * t.p(n - 1) * t.p(m) + t.p(n) * t.p(m + 1)), _dc(t.p(n + m))
+    lhs = _dc(t.k * t.p(n - 1) * t.p(m) + t.p(n) * t.p(m + 1))
+    return lhs, t.once(_p_number, n + m)
 
 
 def _sides_helper_docagne(t, n, m):
     lhs = _dc(t.p(m) * t.p(n + 1) - t.p(m + 1) * t.p(n))
-    return lhs, _dc(_sign(n) * t.k**n * t.p(m - n))
+    return lhs, _dc(t.once(_neg_k_pow, n) * t.p(m - n))
 
 
 def _sides_helper_cassini(t, n):

@@ -136,6 +136,8 @@ class QuadExt:
         return self._coerce(other) / self
 
     def __pow__(self, n: int) -> "QuadExt":
+        if type(n) is not int:
+            raise TypeError(f"QuadExt exponent must be int, got {type(n).__name__}")
         if n < 0:
             return (QuadExt(1, 0, self.d) / self) ** (-n)
         result = QuadExt(1, 0, self.d)

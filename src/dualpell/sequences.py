@@ -155,11 +155,12 @@ class Terms:
     every view of k, as is gamma, (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps.
     The PL and MP numbers follow row's family rule from P, never from q.
     row(family, lo, count) is a stretch of terms, built on every call. qq(a, b)
-    is Q_a Q_b, built once per unordered pair and held by this view alone, so
-    an evaluator that makes its own Terms(k) drops the products with it.
+    is Q_a Q_b, built once per unordered pair, and once(fn, key) is
+    fn(self, key), built once per (fn, key); both are held by this view alone,
+    so an evaluator that makes its own Terms(k) drops them with it.
     """
 
-    __slots__ = ("k", "p", "q", "gamma", "_shared", "_qq")
+    __slots__ = ("k", "p", "q", "gamma", "_shared", "_qq", "_once")
 
     def __init__(self, k: Fraction | int) -> None:
         self.k = k
@@ -167,9 +168,18 @@ class Terms:
         self.p, self.q, self.gamma = self._shared[:3]
         q = self.q
         self._qq = _ByIndex(lambda ab: q(ab[0]) * q(ab[1]))
+        self._once = {}  # a plain dict: a closure over self here would make a reference cycle
 
     def qq(self, a: int, b: int) -> DualComplex:
         return self._qq[(a, b) if a <= b else (b, a)]
+
+    def once(self, fn, key):
+        """fn(self, key), built on the first read of (fn, key) on this view."""
+        try:
+            return self._once[fn, key]
+        except KeyError:
+            value = self._once[fn, key] = fn(self, key)
+            return value
 
     def row(self, family: Family, lo: int, count: int) -> tuple[Fraction | int, ...]:
         """S_lo ... S_{lo+count-1}: an int for integer k and index >= 0, else a Fraction."""

@@ -93,7 +93,15 @@ def _normalize(config: SweepConfig) -> SweepConfig:
     """config checked field by field, with ids in catalog order and k values sorted, each once."""
     from .identities import CATALOG, IdentityId
 
-    for ident in config.ids:
+    items = {}
+    for field in ("ids", "k_values"):
+        values = getattr(config, field)
+        try:
+            values = iter(values)
+        except TypeError:
+            raise ValueError(f"{field} must be iterable, got {values!r}") from None
+        items[field] = tuple(values)
+    for ident in items["ids"]:
         if type(ident) is not IdentityId:
             raise ValueError(f"ids must hold IdentityId members, got {ident!r}")
     ranges = {}
@@ -106,8 +114,8 @@ def _normalize(config: SweepConfig) -> SweepConfig:
         ranges[field] = (exact_index(lo, name=field), exact_index(hi, name=field))
     return replace(
         config,
-        ids=tuple(sorted(set(config.ids), key=list(CATALOG).index)),
-        k_values=tuple(sorted({positive_k(k) for k in config.k_values})),
+        ids=tuple(sorted(set(items["ids"]), key=list(CATALOG).index)),
+        k_values=tuple(sorted({positive_k(k) for k in items["k_values"]})),
         max_counterexamples=exact_index(config.max_counterexamples, 0, "max_counterexamples"),
         **ranges,
     )

@@ -2,22 +2,31 @@
 
 Every row the engine returns is checked against routes that share none of
 its code: single terms, the bare recurrence, the Binet closed form and a
-library-free backward walk from P_1, P_0.
+library-free backward walk from P_1, P_0. The right sides a term view
+memoizes are checked against a fresh view per tuple.
 """
 
+import gc
+import itertools
+import weakref
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpell import (
+    CATALOG,
     DualComplex,
     Family,
+    IdentityId,
     SequenceSpec,
+    SweepConfig,
+    identity_sides,
     pell_term,
     seq_binet,
     seq_row,
     seq_term,
+    sweep,
     terms,
 )
 from dualpell.scalars import positive_k
@@ -98,3 +107,79 @@ def test_product_memo_is_the_product_in_either_order(k, a, b):
     t = Terms(positive_k(k))
     assert t.qq(a, b) == t.q(a) * t.q(b) == t.qq(b, a)
     assert t.qq(b, a) is t.qq(a, b)
+
+
+def test_once_builds_each_key_once_per_view():
+    built = []
+
+    def build(t, key):
+        built.append((t, key))
+        return DualComplex(key, 0, 0, 0)
+
+    t = Terms(2)
+    first = t.once(build, 3)
+    assert t.once(build, 3) is first
+    assert t.once(build, 4) == DualComplex(4, 0, 0, 0)
+    assert built == [(t, 3), (t, 4)]
+    assert t.once(lambda t, key: key, 3) == 3  # another fn is another key
+    other = Terms(2)
+    assert other.once(build, 3) == first and other.once(build, 3) is not first
+    assert built == [(t, 3), (t, 4), (other, 3)]
+
+
+def test_an_evaluation_leaves_the_shared_view_without_a_memo():
+    k = Fraction(17, 7919)  # a k no other test reads
+    shared = terms(k)
+    ids = (IdentityId.G13, IdentityId.G17, IdentityId.G19STATED, IdentityId.G18)
+    sweep(SweepConfig(ids=ids, k_values=(k,), n_range=(0, 3), m_range=(0, 3), r_range=(1, 2)))
+    identity_sides(IdentityId.G13, {"k": k, "n": 1, "m": 2})
+    assert terms(k) is shared and not shared._once
+
+
+def test_a_view_frees_what_once_built_without_the_cycle_collector():
+    class Value:
+        pass
+
+    gc.disable()
+    try:
+        t = Terms(3)
+        value = weakref.ref(t.once(lambda t, key: Value(), 0))
+        assert value() is not None
+        del t
+        assert value() is None  # freed by its refcount: the view is in no cycle
+    finally:
+        gc.enable()
+
+
+ONCE_READERS = tuple(
+    CATALOG[ident]
+    for ident in (
+        IdentityId.G13,
+        IdentityId.G10,
+        IdentityId.HELPER_HONSBERGER,
+        IdentityId.G17,
+        IdentityId.HELPER_DOCAGNE,
+        IdentityId.G19STATED,
+        IdentityId.G19PROOF,
+        IdentityId.G18,
+    )
+)
+
+
+def _shown(w: DualComplex):
+    return repr(w), w.to_json_dict(), tuple(type(c) for c in w.coefficients())
+
+
+@SEEDED
+@given(ks, st.integers(0, 6), st.randoms(use_true_random=False))
+def test_one_view_across_a_grid_reads_what_a_fresh_view_per_tuple_reads(k, top, rng):
+    k = positive_k(k)
+    axis = range(top + 1)  # m < n too, so g17 and helper_docagne read P at negative index
+    for entry in ONCE_READERS:
+        grid = [v for v in itertools.product(axis, repeat=len(entry.params)) if entry.pre(*v)]
+        rng.shuffle(grid)
+        t = Terms(k)
+        for values in grid:
+            once = entry.sides(t, *values)
+            fresh = entry.sides(Terms(k), *values)
+            assert [_shown(w) for w in once] == [_shown(w) for w in fresh]

@@ -174,6 +174,13 @@ def test_pow_matches_repeated_multiplication():
     assert alpha**-2 == 1 / (alpha * alpha)
 
 
+@pytest.mark.parametrize("exponent", [True, 2.0, Fraction(2)])
+def test_pow_takes_only_an_int_exponent(exponent):
+    # True is an int to isinstance and would return the base itself
+    with pytest.raises(TypeError, match=f"exponent must be int, got {type(exponent).__name__}$"):
+        QuadExt(1, 1, 2) ** exponent
+
+
 @pytest.mark.parametrize("d", [0, -2, Fraction(-1, 2)])
 def test_nonpositive_radicand_rejected(d):
     with pytest.raises(ValueError, match="radicand must be positive"):

@@ -167,6 +167,8 @@ def test_skip_counts_scale_with_k_but_not_for_sample_entries():
         ("max_counterexamples", True, "max_counterexamples must be int, got True"),
         ("max_counterexamples", 2.0, "max_counterexamples must be int, got 2.0"),
         ("ids", ("g18",), "ids must hold IdentityId members, got 'g18'"),
+        ("ids", IdentityId.G13, "ids must be iterable, got <IdentityId.G13: 'g13'>"),
+        ("k_values", 2, "k_values must be iterable, got 2"),
     ],
 )
 def test_sweep_rejects_a_malformed_config_naming_the_field(field, value, message):
