@@ -50,10 +50,6 @@ class CatalogEntry:
     uses_k: bool = True
 
 
-def _sign(n: int) -> int:
-    return 1 if n % 2 == 0 else -1
-
-
 def _dc(one, i=0, eps=0, ieps=0) -> DualComplex:
     return DualComplex(one, i, eps, ieps)
 
@@ -81,7 +77,7 @@ def _rhs_f13(t, n):
 
 
 def _rhs_f14_closed(t, n):
-    return _dc(t.p(n) ** 2 + t.p(n + 1) ** 2, 0, 0, -4 * _sign(n) * t.k**n)
+    return _dc(t.p(n) ** 2 + t.p(n + 1) ** 2, 0, 0, -4 * _neg_k_pow(t, n))
 
 
 def _rhs_f24_raw(t, n):
@@ -189,28 +185,37 @@ def _sides_g13(t, n, m):
 
 def _sides_g14(t, n):
     row = t.row(Family.K_PELL, 0, n + 4)
-    total = sum((DualComplex(*row[s : s + 4]) for s in range(n + 1)), _dc(0))
+    # Slot c of Q_0 + ... + Q_n is P_c + ... + P_{n+c}: slot c - 1's window moved up by one.
+    slots = [sum(row[: n + 1])]
+    for c in range(1, 4):
+        slots.append(slots[-1] - row[c - 1] + row[n + c])
     closed = t.q(n + 1) + t.q(n).scale(t.k) - t.q(1) + t.q(0)
-    return total, closed.scale(Fraction(1, t.k + 1))
+    return DualComplex(*slots), closed.scale(Fraction(1, t.k + 1))
 
 
 def _neg_k_pow(t, j):
-    return (-t.k) ** j
+    """(-k)^j, exact at every j: an int for integer k and j >= 0, else a Fraction."""
+    return (-t.k) ** j if j >= 0 else Fraction(-t.k) ** j
 
 
-def _sides_g17(t, n, m):
-    lhs = t.qq(m, n + 1) - t.qq(m + 1, n)
-    return lhs, t.gamma.scale(t.once(_neg_k_pow, n) * t.p(m - n))
+def _signed_p_product(t, ijs):
+    i, j, sign = ijs
+    return sign * t.p(i) * t.p(j)
+
+
+def _vajda(t, n, i, j, sign=1):
+    """sign times both sides of Vajda's Q_{n+i}Q_{n+j} - Q_nQ_{n+i+j} = gamma (-k)^n P_i P_j.
+
+    S. Vajda, Fibonacci & Lucas Numbers, and the Golden Section (1989).
+    """
+    a, b = t.qq(n + i, n + j), t.qq(n, n + i + j)
+    lhs = a - b if sign == 1 else b - a
+    return lhs, t.gamma.scale(t.once(_neg_k_pow, n) * t.once(_signed_p_product, (i, j, sign)))
 
 
 def _sides_g19_stated(t, n, r):
     lhs = t.qq(n, n) - t.qq(n + r, n - r)
     return lhs, t.gamma.scale(t.once(_neg_k_pow, n - r + 1) * t.p(r) ** 2)
-
-
-def _sides_g19_proof(t, n, r):
-    lhs = t.qq(n - r, n + r) - t.qq(n, n)
-    return lhs, t.gamma.scale(-t.once(_neg_k_pow, n - r) * t.p(r) ** 2)
 
 
 # --- scalar helper identities from the quaternion proofs ---------------------
@@ -224,18 +229,11 @@ def _sides_helper_honsberger(t, n, m):
     return lhs, t.once(_p_number, n + m)
 
 
-def _sides_helper_docagne(t, n, m):
-    lhs = _dc(t.p(m) * t.p(n + 1) - t.p(m + 1) * t.p(n))
-    return lhs, _dc(t.once(_neg_k_pow, n) * t.p(m - n))
-
-
-def _sides_helper_cassini(t, n):
-    return _dc(t.p(n - 1) * t.p(n + 1) - t.p(n) ** 2), _dc(_sign(n) * t.k ** (n - 1))
-
-
-def _sides_f14_kernel(t, n):
-    lhs = _dc(t.p(n) * t.p(n + 3) - t.p(n + 1) * t.p(n + 2))
-    return lhs, _dc(-2 * _sign(n) * t.k**n)
+def _vajda_p(t, n, i, j, sign=1):
+    """sign times both sides of P_{n+i}P_{n+j} - P_nP_{n+i+j} = (-k)^n P_i P_j."""
+    a, b = t.p(n + i) * t.p(n + j), t.p(n) * t.p(n + i + j)
+    lhs = a - b if sign == 1 else b - a
+    return _dc(lhs), _dc(t.once(_neg_k_pow, n) * t.once(_signed_p_product, (i, j, sign)))
 
 
 # --- consistency checks between independent evaluation routes ----------------
@@ -304,9 +302,10 @@ def _pre_catalan(n: int, r: int) -> bool:
 
 
 # F22S, F23 and F25 restate F12S, F13 and F15, and G9 restates F26; each
-# pair shares one entry. G10 and G18 are G13 (Honsberger) at (n + 1, n) and
-# G19PROOF (Catalan) at (n, 1): their rows call those functions, not their
-# CATALOG entries, and keep their own params, pre and entry.
+# pair shares one entry. G10 is G13 (Honsberger) at (n + 1, n); d'Ocagne (G17,
+# HELPER_DOCAGNE, F14KERNEL), Catalan (G19PROOF) and Cassini (G18,
+# HELPER_CASSINI) are Vajda's identity at fixed indices. Each row calls the
+# module function, not a CATALOG entry, and keeps its own params, pre and entry.
 _F12S = CatalogEntry(_product_entry(Conjugation.COMPLEX, _rhs_f12_simplified))
 _F13 = CatalogEntry(_product_entry(Conjugation.DUAL, _rhs_f13))
 _F15 = CatalogEntry(_product_entry(Conjugation.DUAL_COMPLEX, _rhs_pure_scalar))
@@ -349,14 +348,14 @@ class IdentityId(Enum):
     G12 = "g12", CatalogEntry(_sides_g12)
     G13 = "g13", CatalogEntry(_sides_g13, ("n", "m"))
     G14 = "g14", CatalogEntry(_sides_g14)
-    G17 = "g17", CatalogEntry(_sides_g17, ("n", "m"))
-    G18 = "g18", CatalogEntry(lambda t, n: _sides_g19_proof(t, n, 1), pre=_pre_n1)
+    G17 = "g17", CatalogEntry(lambda t, n, m: _vajda(t, n, m - n, 1), ("n", "m"))
+    G18 = "g18", CatalogEntry(lambda t, n: _vajda(t, n - 1, 1, 1, -1), pre=_pre_n1)
     G19STATED = "g19stated", CatalogEntry(_sides_g19_stated, ("n", "r"), _pre_catalan)
-    G19PROOF = "g19proof", CatalogEntry(_sides_g19_proof, ("n", "r"), _pre_catalan)
+    G19PROOF = "g19proof", CatalogEntry(lambda t, n, r: _vajda(t, n - r, r, r, -1), ("n", "r"), _pre_catalan)
     HELPER_HONSBERGER = "helper_honsberger", CatalogEntry(_sides_helper_honsberger, ("n", "m"))
-    HELPER_DOCAGNE = "helper_docagne", CatalogEntry(_sides_helper_docagne, ("n", "m"))
-    HELPER_CASSINI = "helper_cassini", CatalogEntry(_sides_helper_cassini, pre=_pre_n1)
-    F14KERNEL = "f14kernel", CatalogEntry(_sides_f14_kernel)
+    HELPER_DOCAGNE = "helper_docagne", CatalogEntry(lambda t, n, m: _vajda_p(t, n, m - n, 1), ("n", "m"))
+    HELPER_CASSINI = "helper_cassini", CatalogEntry(lambda t, n: _vajda_p(t, n - 1, 1, 1, -1), pre=_pre_n1)
+    F14KERNEL = "f14kernel", CatalogEntry(lambda t, n: _vajda_p(t, n, 1, 2, -1))
     RING_AXIOMS = "ring_axioms", CatalogEntry(_sides_ring_axioms, uses_k=False)
     DIV_ROUNDTRIP = "div_roundtrip", CatalogEntry(_sides_div_roundtrip, uses_k=False)
     BINET_NUMBER = "binet_number", CatalogEntry(_sides_binet_number)

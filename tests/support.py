@@ -1,4 +1,4 @@
-"""Shared test helpers: independent oracles and seeded sample generators.
+"""Shared test helpers: independent oracles, seeded sample generators and settings.
 
 The multiplication oracle expands products term-by-term from the 4x4 basis
 table instead of using the library's closed multiplication formula, so the
@@ -7,10 +7,19 @@ two can check each other.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
 
-from dualpell import DualComplex, make_alpha_beta, rationalize
+from hypothesis import settings
+
+from dualpell import CATALOG, DualComplex, make_alpha_beta, rationalize
+from dualpell.sequences import Terms
+
+# Hypothesis runs that replay the same examples on every run and keep no database.
+SEEDED = settings(derandomize=True, database=None, deadline=None)
 
 # basis order: 1, i, eps, i*eps; cell = (result index, sign) or None for zero
 BASIS_TABLE = [
@@ -62,3 +71,37 @@ def binet_over_alpha_beta(k: Fraction, n: int) -> DualComplex:
     delta = alpha - beta
     slots = (alpha ** (n + j) - beta ** (n + j) for j in range(4))
     return DualComplex(*(rationalize(c / delta) for c in slots))
+
+
+SIDES_KS = (1, 2, Fraction(3, 2), Fraction(7, 4))
+SIDES_INDICES = range(0, 7)
+
+
+def _side_line(w: DualComplex) -> str:
+    types = ",".join(type(c).__name__ for c in w.coefficients())
+    return f"{w!r} {json.dumps(w.to_json_dict(), sort_keys=True)} {types}"
+
+
+def sides_digests() -> dict[str, str]:
+    """One sha256 per k-entry over the repr, JSON and coefficient types of both sides.
+
+    Every k in SIDES_KS and every tuple of SIDES_INDICES the entry's pre
+    admits is evaluated on one view per (entry, k), as the sweep does, so the
+    digest pins each side byte for byte, int and Fraction zeros apart.
+    Regenerate tests/data/sides_digests.json from a checkout with:
+    PYTHONPATH=src:tests python -c "import json, support;
+    print(json.dumps(support.sides_digests(), indent=1))"
+    """
+    digests = {}
+    for ident, entry in CATALOG.items():
+        if not entry.uses_k:
+            continue
+        lines = []
+        for k in SIDES_KS:
+            t = Terms(k)
+            for values in itertools.product(SIDES_INDICES, repeat=len(entry.params)):
+                if entry.pre(*values):
+                    lhs, rhs = entry.sides(t, *values)
+                    lines.append(f"{k} {values} {_side_line(lhs)} | {_side_line(rhs)}")
+        digests[ident.value] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return digests

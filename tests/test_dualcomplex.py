@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dualpell import (
@@ -23,9 +23,7 @@ from dualpell import (
     NonInvertibleError,
     QuadExt,
 )
-from support import random_dc, table_mul
-
-SEEDED = settings(derandomize=True, database=None, deadline=None)
+from support import SEEDED, random_dc, table_mul
 
 
 def dc(one, i=0, eps=0, ieps=0):

@@ -11,7 +11,7 @@ import itertools
 import weakref
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dualpell import (
@@ -31,9 +31,7 @@ from dualpell import (
 )
 from dualpell.scalars import positive_k
 from dualpell.sequences import Terms
-from support import naive_pell_row
-
-SEEDED = settings(derandomize=True, database=None, deadline=None)
+from support import SEEDED, naive_pell_row
 
 ks = st.builds(Fraction, st.integers(1, 50), st.integers(1, 50))
 los = st.integers(-30, 80)

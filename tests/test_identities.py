@@ -4,9 +4,13 @@ All expected tuples were computed independently by term-by-term basis-table
 expansion over plain Fractions before being frozen here.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dualpell import (
     CATALOG,
@@ -16,6 +20,12 @@ from dualpell import (
     identity_sides,
     required_bindings,
 )
+from dualpell.identities import _vajda, _vajda_p
+from dualpell.scalars import positive_k
+from dualpell.sequences import Terms
+from support import SEEDED, sides_digests
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def dc(one, i=0, eps=0, ieps=0):
@@ -230,3 +240,48 @@ def test_required_bindings_rejects_an_id_that_is_not_an_identity_id(ident):
 def test_from_tag_rejects_a_non_str(tag):
     with pytest.raises(TypeError, match="identity tag must be str"):
         IdentityId.from_tag(tag)
+
+
+def test_sides_are_pinned_byte_for_byte():
+    # repr, JSON and coefficient types of both sides of every k-entry; see support.sides_digests
+    pinned = json.loads((DATA_DIR / "sides_digests.json").read_text(encoding="utf-8"))
+    assert sides_digests() == pinned
+
+
+ks = st.one_of(st.integers(1, 6), st.builds(Fraction, st.integers(1, 9), st.integers(2, 9)))
+
+
+def assert_exact_and_equal(lhs, rhs):
+    assert lhs == rhs
+    for side in (lhs, rhs):
+        assert all(type(c) in (int, Fraction) for c in side.coefficients()), side
+
+
+@SEEDED
+@given(ks, st.integers(-6, 9), st.integers(-6, 9), st.integers(-6, 9), st.sampled_from((1, -1)))
+def test_vajda_holds_at_every_index(k, n, i, j, sign):
+    t = Terms(positive_k(k))
+    assert_exact_and_equal(*_vajda(t, n, i, j, sign))
+    assert_exact_and_equal(*_vajda_p(t, n, i, j, sign))
+
+
+# The entries that scale by (-k)^j and hold (g19stated, the misstated form, does not):
+# each holds below its pre as well, exact at integer k too.
+SIGNED_POWER_ENTRIES = (
+    IdentityId.F14,
+    IdentityId.F14KERNEL,
+    IdentityId.HELPER_CASSINI,
+    IdentityId.HELPER_DOCAGNE,
+    IdentityId.G17,
+    IdentityId.G18,
+    IdentityId.G19PROOF,
+)
+
+
+@SEEDED
+@given(ks, st.sampled_from(SIGNED_POWER_ENTRIES), st.integers(-8, 8), st.integers(-8, 8))
+def test_signed_power_entries_hold_outside_their_range(k, ident, a, b):
+    entry = CATALOG[ident]
+    values = (a, b)[: len(entry.params)]
+    assume(not entry.pre(*values))
+    assert_exact_and_equal(*entry.sides(Terms(positive_k(k)), *values))

@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualpell import Conjugation, DualComplex, QuadExt, rationalize
-from support import table_mul
+from support import SEEDED, table_mul
 
-SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+FEW = settings(SEEDED, max_examples=30)
 
 NON_SQUARES = (2, 5, Fraction(7, 3))
 SQUARES = (4, Fraction(9, 4))
@@ -49,7 +49,7 @@ def assert_exact(x):
         assert all(type(p) in (int, Fraction) for p in parts), x
 
 
-@SEEDED
+@FEW
 @given(triples())
 def test_field_laws(xyz):
     x, y, z = xyz
@@ -68,7 +68,7 @@ def test_field_laws(xyz):
         assert x ** -2 * x**2 == 1
 
 
-@SEEDED
+@FEW
 @given(triples(SQUARES), st.integers(0, 5))
 def test_folded_elements_stay_folded(xyz, n):
     x, y, z = xyz
@@ -78,7 +78,7 @@ def test_folded_elements_stay_folded(xyz, n):
     assert all(r.b == 0 and r.is_rational for r in results)
 
 
-@SEEDED
+@FEW
 @given(triples())
 def test_int_and_fraction_backed_elements_are_equal_and_hash_equal(xyz):
     x = xyz[0]
@@ -90,7 +90,7 @@ def test_int_and_fraction_backed_elements_are_equal_and_hash_equal(xyz):
         assert x == x.a and hash(x) == hash(x.a)
 
 
-@SEEDED
+@FEW
 @given(dual_complex_triples())
 def test_dual_complex_ring_laws_over_quadratic_coefficients(xyz):
     x, y, z = xyz
@@ -118,7 +118,7 @@ int_dual_complex = st.builds(DualComplex, *[st.integers(-60, 60)] * 4)
 fraction_dual_complex = st.builds(DualComplex, *[fraction_values] * 4)
 
 
-@SEEDED
+@FEW
 @given(mixed_dual_complex, mixed_dual_complex)
 def test_products_over_q_match_the_table_oracle(x, y):
     product = x * y
@@ -126,7 +126,7 @@ def test_products_over_q_match_the_table_oracle(x, y):
     assert_exact(product)
 
 
-@SEEDED
+@FEW
 @given(int_dual_complex, fraction_dual_complex)
 def test_int_times_rational_products_match_the_table_oracle(x, y):
     product = x * y
@@ -142,7 +142,7 @@ def test_quadext_beside_fraction_coefficients_takes_the_ring_expression():
     assert_exact(product)
 
 
-@SEEDED
+@FEW
 @given(st.one_of(mixed_dual_complex, int_dual_complex), st.integers(-60, 60))
 def test_scaling_by_an_integral_fraction_is_scaling_by_its_int(w, n):
     scaled = w.scale(Fraction(n))
@@ -152,7 +152,7 @@ def test_scaling_by_an_integral_fraction_is_scaling_by_its_int(w, n):
         assert all(type(c) is int for c in scaled.coefficients()), scaled
 
 
-@SEEDED
+@FEW
 @given(mixed_dual_complex, st.sampled_from(NON_SQUARES))
 def test_dual_complex_conjugate_over_q_matches_the_quadratic_route(w, d):
     assume(not w.has_zero_complex_part())
