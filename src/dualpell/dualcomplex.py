@@ -6,11 +6,11 @@ when z1 is nonzero; elements with z1 = 0 are zero divisors (eps is nilpotent).
 
 Coefficients are generic over an exact scalar ring: one multiplication formula
 serves int, Fraction and QuadExt, which is how the Binet machinery reuses it.
-int and Fraction coefficients may mix. Over Q, that is with no QuadExt
-coefficient and a Fraction among the operands, +, -, unary -, scale, *, /
-and the conjugates run in int on each value's canonical cleared form
-(n1, n2, n3, n4, d): the coefficients are nj / d with d > 1 and
-gcd(n1, n2, n3, n4, d) = 1. A value caches its form on its first use over Q,
+int and Fraction coefficients may mix. Over Q, that is with every coefficient
+in scalars._EXACT (int or Fraction) and a Fraction among the operands, +, -,
+unary -, scale, *, / and the conjugates run in int on each value's canonical
+cleared form (n1, n2, n3, n4, d): the coefficients are nj / d with d > 1
+and gcd(n1, n2, n3, n4, d) = 1. A value caches its form on its first use over Q,
 and each kernel returns a result that holds its form alone: the four
 Fraction coefficients are built from it on the first read of one of them,
 and == compares two forms directly. A result whose reduced d is 1 comes
@@ -19,8 +19,8 @@ int path. Over Q the dual-complex conjugate of (a, b, c, e)/D is
 (aN, -bN, x, y)/(D N) with N = a^2 + b^2, and a quotient w / v is the int
 product of w's numerators with (aN, -bN, x, y) over D_w N^2 / D, where D and
 D_w are the denominators of v and w. Over int both clear to d = 1 first, as
-they divide. With a QuadExt coefficient they scale by the exact reciprocal
-Fraction(1)/|z1|^2. No coefficient ever becomes a float.
+they divide. With any other coefficient (a QuadExt) they scale by the exact
+reciprocal Fraction(1)/|z1|^2. No coefficient ever becomes a float.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Any
 
-from .scalars import _SCALARS, QuadExt, parse_rational
+from .scalars import _EXACT, _SCALARS, parse_rational
 
 
 class NonInvertibleError(ZeroDivisionError):
@@ -149,7 +149,7 @@ class DualComplex:
         kind = type(s)
         if kind not in _SCALARS:
             raise TypeError(f"cannot scale a DualComplex by {kind.__name__}")
-        if kind is QuadExt:
+        if kind not in _EXACT:  # a QuadExt
             return DualComplex(*map(s.__mul__, self.coefficients()))
         if kind is Fraction and s.denominator == 1:
             s, kind = s.numerator, int
@@ -249,7 +249,7 @@ def _cleared(c1: Any, c2: Any, c3: Any, c4: Any) -> tuple:
 
 
 def _q_form(w: DualComplex) -> tuple | None:
-    """w's cleared form (n1, n2, n3, n4, d) over Q, or None when a coefficient is a QuadExt.
+    """w's cleared form (n1, n2, n3, n4, d) over Q, or None when a coefficient is not in _EXACT.
 
     w._form is None when all four coefficients are int, False until a value
     with a Fraction or QuadExt is first read here, and then the form if d > 1.
@@ -260,7 +260,8 @@ def _q_form(w: DualComplex) -> tuple | None:
     if form is None:
         return w._r, w._i, w._d, w._di, 1
     if form is False:
-        if QuadExt in map(type, (w._r, w._i, w._d, w._di)):
+        if not (type(w._r) in _EXACT and type(w._i) in _EXACT
+                and type(w._d) in _EXACT and type(w._di) in _EXACT):
             return None
         form = _cleared(w._r, w._i, w._d, w._di)
         if form[4] > 1:

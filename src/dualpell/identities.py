@@ -91,24 +91,15 @@ def _rhs_pure_scalar(t, n):
 
 # --- conjugation sums and mixed relations (F16-F21) -------------------------
 
-def _sum_entry(kind: Conjugation, rhs) -> Sides:
+def _sum_entry(kind: Conjugation, kept: int) -> Sides:
+    """w + conj(w) = 2(P_n + e P_{n+kept}), e the slot besides 1 that kind leaves unnegated."""
     def sides(t, n):
         w = t.q(n)
-        return w + w.conjugate(kind), rhs(t, n)
+        slots = [2 * t.p(n), 0, 0, 0]
+        slots[kept] = 2 * t.p(n + kept)
+        return w + w.conjugate(kind), _dc(*slots)
 
     return sides
-
-
-def _rhs_f16(t, n):
-    return _dc(2 * t.p(n), 0, 2 * t.p(n + 2), 0)
-
-
-def _rhs_f17(t, n):
-    return _dc(2 * t.p(n), 2 * t.p(n + 1), 0, 0)
-
-
-def _rhs_f18(t, n):
-    return _dc(2 * t.p(n), 0, 0, 2 * t.p(n + 3))
 
 
 def _sides_f19(t, n):
@@ -130,13 +121,12 @@ def _sides_f21(t, n):
 
 # --- number-level family relations (F26-F31) --------------------------------
 
-def _sides_f26(t, n):
-    return t.q(n + 2), t.q(n + 1).scale(2) + t.q(n).scale(t.k)
+def _recurrence(family: Family) -> Sides:
+    """S_{n+2} = 2S_{n+1} + kS_n over the family's dual-complex numbers."""
+    def sides(t, n):
+        return t.d(family, n + 2), t.d(family, n + 1).scale(2) + t.d(family, n).scale(t.k)
 
-
-def _sides_f27(t, n):
-    pl = Family.K_PELL_LUCAS
-    return t.d(pl, n + 2), t.d(pl, n + 1).scale(2) + t.d(pl, n).scale(t.k)
+    return sides
 
 
 def _sides_f28(t, n):
@@ -190,7 +180,7 @@ def _sides_g14(t, n):
     for c in range(1, 4):
         slots.append(slots[-1] - row[c - 1] + row[n + c])
     closed = t.q(n + 1) + t.q(n).scale(t.k) - t.q(1) + t.q(0)
-    return DualComplex(*slots), closed.scale(Fraction(1, t.k + 1))
+    return DualComplex(*slots), closed.scale(Fraction(1) / (t.k + 1))
 
 
 def _neg_k_pow(t, j):
@@ -302,14 +292,16 @@ def _pre_catalan(n: int, r: int) -> bool:
 
 
 # F22S, F23 and F25 restate F12S, F13 and F15, and G9 restates F26; each
-# pair shares one entry. G10 is G13 (Honsberger) at (n + 1, n); d'Ocagne (G17,
-# HELPER_DOCAGNE, F14KERNEL), Catalan (G19PROOF) and Cassini (G18,
-# HELPER_CASSINI) are Vajda's identity at fixed indices. Each row calls the
-# module function, not a CATALOG entry, and keeps its own params, pre and entry.
+# pair shares one entry. F16-F18 are one conjugate sum by the slot each keeps,
+# read off the paper (eps, i, i*eps), and F26 and F27 one recurrence. G10 is
+# G13 (Honsberger) at (n + 1, n); d'Ocagne (G17, HELPER_DOCAGNE, F14KERNEL),
+# Catalan (G19PROOF) and Cassini (G18, HELPER_CASSINI) are Vajda's identity at
+# fixed indices. Each row calls the module function, not a CATALOG entry, and
+# keeps its own params, pre and entry.
 _F12S = CatalogEntry(_product_entry(Conjugation.COMPLEX, _rhs_f12_simplified))
 _F13 = CatalogEntry(_product_entry(Conjugation.DUAL, _rhs_f13))
 _F15 = CatalogEntry(_product_entry(Conjugation.DUAL_COMPLEX, _rhs_pure_scalar))
-_F26 = CatalogEntry(_sides_f26)
+_F26 = CatalogEntry(_recurrence(Family.K_PELL))
 
 
 class IdentityId(Enum):
@@ -326,9 +318,9 @@ class IdentityId(Enum):
     F13 = "f13", _F13
     F14 = "f14", CatalogEntry(_product_entry(Conjugation.COUPLED, _rhs_f14_closed))
     F15 = "f15", _F15
-    F16 = "f16", CatalogEntry(_sum_entry(Conjugation.COMPLEX, _rhs_f16))
-    F17 = "f17", CatalogEntry(_sum_entry(Conjugation.DUAL, _rhs_f17))
-    F18 = "f18", CatalogEntry(_sum_entry(Conjugation.COUPLED, _rhs_f18))
+    F16 = "f16", CatalogEntry(_sum_entry(Conjugation.COMPLEX, 2))
+    F17 = "f17", CatalogEntry(_sum_entry(Conjugation.DUAL, 1))
+    F18 = "f18", CatalogEntry(_sum_entry(Conjugation.COUPLED, 3))
     F19 = "f19", CatalogEntry(_sides_f19)
     F20 = "f20", CatalogEntry(_sides_f20)
     F21 = "f21", CatalogEntry(_sides_f21)
@@ -337,7 +329,7 @@ class IdentityId(Enum):
     F24 = "f24", CatalogEntry(_product_entry(Conjugation.COUPLED, _rhs_f24_raw))
     F25 = "f25", _F15
     F26 = "f26", _F26
-    F27 = "f27", CatalogEntry(_sides_f27)
+    F27 = "f27", CatalogEntry(_recurrence(Family.K_PELL_LUCAS))
     F28 = "f28", CatalogEntry(_sides_f28)
     F29 = "f29", CatalogEntry(_sides_f29)
     F30 = "f30", CatalogEntry(_sides_f30)

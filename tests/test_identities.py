@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dualpell import (
@@ -251,10 +251,14 @@ def test_sides_are_pinned_byte_for_byte():
 ks = st.one_of(st.integers(1, 6), st.builds(Fraction, st.integers(1, 9), st.integers(2, 9)))
 
 
+def assert_exact(*sides):
+    for side in sides:
+        assert all(type(c) in (int, Fraction) for c in side.coefficients()), side
+
+
 def assert_exact_and_equal(lhs, rhs):
     assert lhs == rhs
-    for side in (lhs, rhs):
-        assert all(type(c) in (int, Fraction) for c in side.coefficients()), side
+    assert_exact(lhs, rhs)
 
 
 @SEEDED
@@ -265,23 +269,44 @@ def test_vajda_holds_at_every_index(k, n, i, j, sign):
     assert_exact_and_equal(*_vajda_p(t, n, i, j, sign))
 
 
-# The entries that scale by (-k)^j and hold (g19stated, the misstated form, does not):
-# each holds below its pre as well, exact at integer k too.
-SIGNED_POWER_ENTRIES = (
-    IdentityId.F14,
-    IdentityId.F14KERNEL,
-    IdentityId.HELPER_CASSINI,
-    IdentityId.HELPER_DOCAGNE,
-    IdentityId.G17,
-    IdentityId.G18,
-    IdentityId.G19PROOF,
-)
+# What each k-entry does on the tuples its pre rejects. Every entry not named
+# below holds there, exact at integer k too: the engine gives every term at a
+# negative index, P_-j = -P_j / (-k)^j, and the signed power (-k)^j stays exact.
+HOLDS_ONLY_WHERE = {
+    # The paper's simplified eps slot 2P_{2n+3} is right at k = 1 only; at
+    # n = -2 both slots read 2P_-1, since P_0 = 0.
+    IdentityId.F12S: lambda k, n: k == 1 or n == -2,
+    IdentityId.F22S: lambda k, n: k == 1 or n == -2,
+    IdentityId.F31: lambda k, n: k == 1,
+    # The misstated Catalan form has one power of -k too many, so it holds only where P_r = 0.
+    IdentityId.G19STATED: lambda k, n, r: r == 0,
+}
+# (exception, the largest n that raises it): g14 sums P_0..P_n, and the
+# Binet routes and seq_prefix_sum reject a negative n.
+RAISES_UP_TO = {
+    IdentityId.G14: (IndexError, -2),
+    IdentityId.BINET_NUMBER: (ValueError, -1),
+    IdentityId.BINET_QUATERNION: (ValueError, -1),
+    IdentityId.PREFIX_SUM: (ValueError, -1),
+}
+K_ENTRIES = tuple(ident for ident, entry in CATALOG.items() if entry.uses_k)
 
 
 @SEEDED
-@given(ks, st.sampled_from(SIGNED_POWER_ENTRIES), st.integers(-8, 8), st.integers(-8, 8))
-def test_signed_power_entries_hold_outside_their_range(k, ident, a, b):
-    entry = CATALOG[ident]
-    values = (a, b)[: len(entry.params)]
-    assume(not entry.pre(*values))
-    assert_exact_and_equal(*entry.sides(Terms(positive_k(k)), *values))
+@given(ks, st.integers(-12, 12), st.integers(-12, 12))
+def test_every_entry_outside_its_range_matches_the_table(k, a, b):
+    t = Terms(positive_k(k))
+    for ident in K_ENTRIES:
+        entry = CATALOG[ident]
+        values = (a, b)[: len(entry.params)]
+        if entry.pre(*values):
+            continue
+        error, top = RAISES_UP_TO.get(ident, (None, None))
+        if error is not None and a <= top:
+            with pytest.raises(error):
+                entry.sides(t, *values)
+            continue
+        lhs, rhs = entry.sides(t, *values)
+        assert_exact(lhs, rhs)
+        holds = HOLDS_ONLY_WHERE.get(ident, lambda *_: True)(k, *values)
+        assert (lhs == rhs) == holds, (ident, lhs, rhs)
