@@ -16,14 +16,15 @@ import math
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?", re.ASCII)  # 0-9 only, as rendered
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` (decimal digits, q > 0) into a Fraction.
+    """Parse ``p`` or ``p/q`` (ASCII decimal digits, q > 0) into a Fraction.
 
     Rejects everything else with ValueError (zero or signed denominators,
-    decimals, exponents, empty strings) and a non-str with TypeError.
+    decimals, exponents, empty strings, other scripts' digits) and a non-str
+    with TypeError.
     """
     if type(text) is not str:
         raise TypeError(f"rational text must be str, got {type(text).__name__}")
@@ -64,9 +65,11 @@ class QuadExt:
     Each of a, b and d is an int or a Fraction, kept as given, so integer
     inputs stay in int arithmetic; anything else, a float or a bool above all,
     raises TypeError. Two elements may be combined only when their radicands
-    agree (ints and Fractions are coerced). If d is a perfect rational square
-    the value normalizes to b = 0, so structural equality is mathematical
-    equality in the degenerate case too. Immutable by convention.
+    agree (ints and Fractions are coerced); with any other operand +, -, * and /
+    return NotImplemented, so a DualComplex takes its reflected turn and a float
+    or bool raises TypeError. If d is a perfect rational square the value
+    normalizes to b = 0, so structural equality is mathematical equality in
+    the degenerate case too. Immutable by convention.
     """
 
     __slots__ = ("a", "b", "d")
@@ -82,33 +85,41 @@ class QuadExt:
                 a, b = a + b * root, 0
         self.a, self.b, self.d = a, b, d
 
-    def _coerce(self, other: object) -> "QuadExt":
+    def _coerce(self, other: object) -> "QuadExt | None":
+        """other on self's radicand, or None for a type QuadExt does not combine with."""
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 raise ValueError("mismatched radicands")
             return other
         if type(other) in _EXACT:
             return QuadExt(other, 0, self.d)
-        raise TypeError(f"cannot combine QuadExt with {type(other).__name__}")
+        return None
 
     def __add__(self, other: object) -> "QuadExt":
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return QuadExt(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "QuadExt":
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return QuadExt(self.a - o.a, self.b - o.b, self.d)
 
     def __rsub__(self, other: object) -> "QuadExt":
-        return self._coerce(other) - self
+        o = self._coerce(other)
+        return NotImplemented if o is None else o - self
 
     def __neg__(self) -> "QuadExt":
         return QuadExt(-self.a, -self.b, self.d)
 
     def __mul__(self, other: object) -> "QuadExt":
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return QuadExt(
             self.a * o.a + self.b * o.b * self.d,
             self.a * o.b + self.b * o.a,
@@ -119,6 +130,8 @@ class QuadExt:
 
     def __truediv__(self, other: object) -> "QuadExt":
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         # (a+b sqrt d)^-1 = (a-b sqrt d)/(a^2 - b^2 d); the norm vanishes
         # only for the zero element because d is not a nonzero square here.
         norm = o.a * o.a - o.b * o.b * self.d
@@ -133,7 +146,8 @@ class QuadExt:
         )
 
     def __rtruediv__(self, other: object) -> "QuadExt":
-        return self._coerce(other) / self
+        o = self._coerce(other)
+        return NotImplemented if o is None else o / self
 
     def __pow__(self, n: int) -> "QuadExt":
         if type(n) is not int:

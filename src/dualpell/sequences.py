@@ -11,7 +11,8 @@ P_2n = P_n PL_n) and the rest of a row follows the cleared recurrence, so a
 Fraction is built only for the terms that are returned. For integer k and
 n >= 0 the term is the cleared term itself and is returned as a plain int;
 every other term is a Fraction. The two mix exactly under +, -, * and
-nonnegative powers, so callers need not tell them apart.
+nonnegative powers, so callers need not tell them apart. Each family's rows
+come from one rule, and its dual-complex numbers sit in one table per (family, k).
 """
 
 from __future__ import annotations
@@ -129,44 +130,38 @@ def _family_row(
     return tuple(scale * (b - a) for a, b in zip(row, row[1:]))
 
 
-def _family_numbers(family: Family, k: Fraction | int):
-    """The PL or MP dual-complex number at k by index, each built once from the family rule."""
+@functools.cache
+def _numbers(family: Family, k: Fraction | int):
+    """The family's dual-complex number at k by index, each built once from its row."""
     return _ByIndex(lambda j: DualComplex(*_family_row(family, k, j, 4))).__getitem__
 
 
 @functools.cache
-def _shared(k: Fraction | int) -> list:
-    """[p, q, gamma, pl, mp] of one checked k, built once and read by every view of k.
-
-    pl and mp, the PL and MP numbers by index, stay None until the first read
-    of their family, so a k read only through p and q holds no dict for them.
-    """
-    row = functools.partial(_pell_row, k.numerator, k.denominator)
-    p = _ByIndex(lambda j: row(j, 1)[0]).__getitem__
-    q = _ByIndex(lambda j: DualComplex(*row(j, 4))).__getitem__
-    return [p, q, DualComplex(1 + k, 2, 2 * k * k + 6 * k + 4, 4 * k + 8), None, None]
+def _shared(k: Fraction | int) -> tuple:
+    """(p, gamma) of one checked k, built once and read by every view of k."""
+    p = _ByIndex(lambda j: _family_row(Family.K_PELL, k, j, 1)[0]).__getitem__
+    return p, DualComplex(1 + k, 2, 2 * k * k + 6 * k + 4, 4 * k + 8)
 
 
 class Terms:
     """The sequence terms at one checked k, read by index.
 
-    p(j) is P_j, q(j) the k-Pell dual-complex number at j and d(family, j)
-    that number for any family, each built once per (family, j) and shared by
-    every view of k, as is gamma, (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps.
-    The PL and MP numbers follow row's family rule from P, never from q.
+    p(j) is P_j, d(family, j) the family's dual-complex number at j and q(j)
+    that number for K_PELL; each is read off row's one family rule, built once
+    per (family, j) on the first read of its family and shared by every view
+    of k, as is gamma, (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps.
     row(family, lo, count) is a stretch of terms, built on every call. qq(a, b)
     is Q_a Q_b, built once per unordered pair, and once(fn, key) is
     fn(self, key), built once per (fn, key); both are held by this view alone,
     so an evaluator that makes its own Terms(k) drops them with it.
     """
 
-    __slots__ = ("k", "p", "q", "gamma", "_shared", "_qq", "_once")
+    __slots__ = ("k", "p", "q", "gamma", "_qq", "_once")
 
     def __init__(self, k: Fraction | int) -> None:
         self.k = k
-        self._shared = _shared(k)
-        self.p, self.q, self.gamma = self._shared[:3]
-        q = self.q
+        self.p, self.gamma = _shared(k)
+        self.q = q = _numbers(Family.K_PELL, k)
         self._qq = _ByIndex(lambda ab: q(ab[0]) * q(ab[1]))
         self._once = {}  # a plain dict: a closure over self here would make a reference cycle
 
@@ -186,13 +181,7 @@ class Terms:
         return _family_row(family, self.k, lo, count)
 
     def d(self, family: Family, j: int) -> DualComplex:
-        if family is Family.K_PELL:
-            return self.q(j)
-        slot = 3 if family is Family.K_PELL_LUCAS else 4
-        numbers = self._shared[slot]
-        if numbers is None:
-            numbers = self._shared[slot] = _family_numbers(family, self.k)
-        return numbers(j)
+        return _numbers(family, self.k)(j)
 
 
 _views = functools.cache(Terms)  # the shared view of each checked k

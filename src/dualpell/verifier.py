@@ -104,6 +104,12 @@ def _normalize(config: SweepConfig) -> SweepConfig:
     for ident in items["ids"]:
         if type(ident) is not IdentityId:
             raise ValueError(f"ids must hold IdentityId members, got {ident!r}")
+    k_values = set()
+    for k in items["k_values"]:
+        try:
+            k_values.add(positive_k(k))
+        except ValueError:
+            raise ValueError(f"k_values must hold positive int or Fraction values, got {k!r}") from None
     ranges = {}
     for field in ("n_range", "m_range", "r_range"):
         bounds = getattr(config, field)
@@ -115,7 +121,7 @@ def _normalize(config: SweepConfig) -> SweepConfig:
     return replace(
         config,
         ids=tuple(sorted(set(items["ids"]), key=list(CATALOG).index)),
-        k_values=tuple(sorted({positive_k(k) for k in items["k_values"]})),
+        k_values=tuple(sorted(k_values)),
         max_counterexamples=exact_index(config.max_counterexamples, 0, "max_counterexamples"),
         **ranges,
     )

@@ -7,12 +7,11 @@ its peak resident set must stay under 200 MB.
 
 The products Q_a Q_b that sweep and identity_sides memoize die with the
 evaluation; only the per-k terms stay, and those grow linearly in n. The
-per-k memo makes its PL and MP numbers on the first read of that family, so
-a k read only through P holds no memo for them.
+per-k memo makes each family's table of numbers on the first read of that
+family, so a k read only through P holds no PL or MP table.
 """
 
 import gc
-import inspect
 import os
 import subprocess
 import sys
@@ -74,24 +73,11 @@ def test_evaluations_hold_no_products_after_they_return():
 
 
 def test_pell_reads_at_fresh_k_hold_no_family_numbers():
-    # blocks allocated on the lines of _family_numbers, the one maker of a PL or MP memo
-    lines, first = inspect.getsourcelines(sequences._family_numbers)
-    file = sequences.__file__
-    made_there = [tracemalloc.Filter(True, file, n) for n in range(first, first + len(lines))]
-
-    def family_bytes():
-        traces = tracemalloc.take_snapshot().filter_traces(made_there).traces
-        return sum(trace.size for trace in traces)
-
-    gc.collect()
-    tracemalloc.start()
-    try:
-        for i in range(1, 301):  # denominator 7919: no other test reads these k
-            dc_number(Family.K_PELL, Fraction(i, 7919), 3)
-        after_pell = family_bytes()
-        dc_number(Family.MODIFIED_K_PELL, Fraction(301, 7919), 3)
-        after_mp = family_bytes()
-    finally:
-        tracemalloc.stop()
-    assert after_pell == 0, f"K_PELL reads left {after_pell} bytes of PL/MP memo"
-    assert after_mp > 0  # a first MP read makes the memo, so the filter sees it
+    tables = sequences._numbers.cache_info  # one entry per (family, k) table made
+    before = tables().currsize
+    for i in range(1, 301):  # denominator 7919: no other test reads these k
+        dc_number(Family.K_PELL, Fraction(i, 7919), 3)
+    assert tables().currsize - before == 300  # one K_PELL table per k, no PL or MP
+    before = tables().currsize
+    dc_number(Family.MODIFIED_K_PELL, Fraction(301, 7919), 3)
+    assert tables().currsize - before == 2  # the view's K_PELL table and the MP one

@@ -4,6 +4,8 @@ import json
 import sys
 from contextlib import contextmanager
 
+import pytest
+
 from dualpell import CATALOG, DualComplex, pell_term
 from dualpell.cli import main
 
@@ -83,6 +85,13 @@ def test_quat_plain(capsys):
 def test_quat_malformed_k(capsys):
     code, _, _ = run(capsys, "quat", "--family", "pell", "--k", "x", "--n", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("k", ["\u0663", "1/\u0663", "1/1\u0662"])  # Arabic-Indic 3 and 2
+def test_seq_rejects_k_in_non_ascii_digits(capsys, k):
+    code, out, err = run(capsys, "seq", "--family", "pell", "--k", k, "--from", "0", "--to", "3")
+    assert (code, out) == (2, "")
+    assert "malformed rational" in err
 
 
 def test_json_rendering_roundtrips(capsys):

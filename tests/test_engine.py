@@ -88,6 +88,7 @@ def test_term_view_reads_the_rows(k, j, family):
     assert t.q(j) == DualComplex(*seq_row(Family.K_PELL, k, j, 4))
     assert t.d(family, j) == DualComplex(*seq_row(family, k, j, 4))
     assert t.d(family, j) == DualComplex(*t.row(family, j, 4))
+    assert t.d(Family.K_PELL, j) is t.q(j)
     assert Terms(positive_k(k)).d(family, j) is t.d(family, j)
 
 

@@ -188,16 +188,19 @@ def test_quadext_rejects_inexact_coefficient(field, bad):
     [
         lambda x, y: x + y,
         lambda x, y: y + x,
+        lambda x, y: x - y,
+        lambda x, y: y - x,
         lambda x, y: x * y,
         lambda x, y: y * x,
         lambda x, y: x / y,
         lambda x, y: y / x,
     ],
-    ids=["add", "radd", "mul", "rmul", "div", "rdiv"],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul", "div", "rdiv"],
 )
 @pytest.mark.parametrize("bad", [0.5, 2.0, True])
 def test_quadext_rejects_inexact_operand(op, bad):
-    with pytest.raises(TypeError):
+    # QuadExt returns NotImplemented, so Python raises once neither side takes the operand
+    with pytest.raises(TypeError, match="unsupported operand"):
         op(QuadExt(1, 1, 2), bad)
 
 
@@ -271,6 +274,13 @@ def test_dual_complex_scales_by_exact_scalars():
     assert w * 2 == 2 * w == w.scale(2) == DualComplex(2, 4, 6, 8)
     assert w * Fraction(1, 2) == DualComplex(Fraction(1, 2), 1, Fraction(3, 2), 2)
     assert w.scale(QuadExt(3, 0, 2)) == DualComplex(3, 6, 9, 12)
+
+
+def test_quadext_times_dual_complex_is_the_dual_complex_scaled():
+    # QuadExt declines a DualComplex operand, so DualComplex.__rmul__ takes its turn
+    w = DualComplex(1, 2, 3, 4)
+    for s in (QuadExt(3, 0, 2), QuadExt(1, 1, 2)):
+        assert s * w == w * s == w.scale(s)
 
 
 @pytest.mark.parametrize("slot", range(4))

@@ -42,7 +42,10 @@ def test_parse_rational_accepts(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["5/0", "1/-2", "1.5", "", "3/", "1e3", "a", "1 / 2"])
+@pytest.mark.parametrize(
+    "text",
+    ["5/0", "1/-2", "1.5", "", "3/", "1e3", "a", "1 / 2", "\u0663", "1/1\u0662", "1/\u0662", "\uff11"],
+)
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)

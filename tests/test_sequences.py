@@ -202,10 +202,11 @@ def test_seq_row_rejects_a_family_that_is_not_a_family(family):
 def test_dc_number_rejects_a_family_that_is_not_a_family(family):
     from dualpell import sequences
 
-    k = Fraction(1009, 997)  # read nowhere else, so its memo starts empty
+    k = Fraction(1009, 997)  # read nowhere else, so it has no table yet
+    before = sequences._numbers.cache_info().currsize
     with pytest.raises(ValueError, match="family must be a Family"):
         dc_number(family, k, 1)
-    assert sequences._shared(k)[3:] == [None, None]  # no PL or MP numbers built
+    assert sequences._numbers.cache_info().currsize - before <= 1  # at most its K_PELL table
 
 
 @pytest.mark.parametrize("family", NOT_A_FAMILY)

@@ -169,6 +169,9 @@ def test_skip_counts_scale_with_k_but_not_for_sample_entries():
         ("ids", ("g18",), "ids must hold IdentityId members, got 'g18'"),
         ("ids", IdentityId.G13, "ids must be iterable, got <IdentityId.G13: 'g13'>"),
         ("k_values", 2, "k_values must be iterable, got 2"),
+        ("k_values", (0,), "k_values must hold positive int or Fraction values, got 0"),
+        ("k_values", (2.0,), "k_values must hold positive int or Fraction values, got 2.0"),
+        ("k_values", (True,), "k_values must hold positive int or Fraction values, got True"),
     ],
 )
 def test_sweep_rejects_a_malformed_config_naming_the_field(field, value, message):
