@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-# Eager, unlike each command's imports: bench/spans.py reads it from sys.modules.
-from . import verifier
-from .scalars import parse_rational, positive_k
+from .scalars import ASCII_SPACE, parse_rational, positive_k
 
 if TYPE_CHECKING:
     from .identities import IdentityId
@@ -42,14 +40,38 @@ def _k(text: str) -> Fraction | int:
     return positive_k(parse_rational(text))
 
 
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """int(text) for ASCII digits with an optional sign only.
+
+    int() also takes other scripts' digits, '_' and Unicode spaces. Text that
+    int() rejects too keeps int()'s own message.
+    """
+    value = int(text)
+    if not _INT_RE.fullmatch(text.strip(ASCII_SPACE)):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return value
+
+
+@_usage
+def _int(text: str) -> int:
+    """argparse's type=int on the ASCII rule, with type=int's message."""
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
 @_usage
 def _int_range(text: str) -> tuple[int, int]:
     """Inclusive range 'a..b', or a single integer 'a' meaning a..a."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        bounds = (int(lo), int(hi))
+        bounds = (_parse_int(lo), _parse_int(hi))
     else:
-        bounds = (int(text), int(text))
+        bounds = (_parse_int(text), _parse_int(text))
     if bounds[0] > bounds[1]:
         raise ValueError(f"empty range: {text!r}")
     return bounds
@@ -73,7 +95,7 @@ def _identity_id(text: str) -> IdentityId:
 def _identity_ids(text: str) -> tuple[IdentityId, ...]:
     from .identities import CATALOG, IdentityId
 
-    if text.strip().lower() == "all":
+    if text.strip(ASCII_SPACE).lower() == "all":
         return tuple(CATALOG)
     return tuple(IdentityId.from_tag(part) for part in text.split(","))
 
@@ -145,6 +167,10 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    from . import verifier
+
     given = {
         "ids": args.ids,
         "k_values": args.k,
@@ -206,7 +232,7 @@ def _cmd_binet(args: argparse.Namespace) -> int:
 
 @_usage
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    value = _parse_int(text)
     if value < 0:
         raise ValueError("must be >= 0")
     return value
@@ -222,24 +248,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq = sub.add_parser("seq", help="print a stretch of a sequence")
     p_seq.add_argument("--family", type=_family, required=True)
     p_seq.add_argument("--k", type=_k, required=True)
-    p_seq.add_argument("--from", dest="start", type=int, required=True)
-    p_seq.add_argument("--to", dest="end", type=int, required=True)
+    p_seq.add_argument("--from", dest="start", type=_int, required=True)
+    p_seq.add_argument("--to", dest="end", type=_int, required=True)
     p_seq.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     p_seq.set_defaults(func=_cmd_seq)
 
     p_quat = sub.add_parser("quat", help="print one dual-complex quaternion")
     p_quat.add_argument("--family", type=_family, required=True)
     p_quat.add_argument("--k", type=_k, required=True)
-    p_quat.add_argument("--n", type=int, required=True)
+    p_quat.add_argument("--n", type=_int, required=True)
     p_quat.add_argument("--format", choices=("json", "plain"), default="json")
     p_quat.set_defaults(func=_cmd_quat)
 
     p_id = sub.add_parser("identity", help="check one identity at one tuple")
     p_id.add_argument("--id", type=_identity_id, required=True)
     p_id.add_argument("--k", type=_k)
-    p_id.add_argument("--n", type=int)
-    p_id.add_argument("--m", type=int)
-    p_id.add_argument("--r", type=int)
+    p_id.add_argument("--n", type=_int)
+    p_id.add_argument("--m", type=_int)
+    p_id.add_argument("--r", type=_int)
     p_id.add_argument("--format", choices=("json", "plain"), default="json")
     p_id.set_defaults(func=_cmd_identity)
 

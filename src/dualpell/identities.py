@@ -19,17 +19,21 @@ always be replayed exactly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
+# Unused here: bench/spans.py reads verifier from sys.modules after importing this.
+from . import verifier  # noqa: F401
 from .dualcomplex import DC_EPS, DC_I, DC_IEPS, Conjugation, DualComplex
 # Stays at the top: bench/spans.py reads quaternions from sys.modules after importing this.
 from .quaternions import binet_quaternion
-from .scalars import exact_index, positive_k
+from .scalars import ASCII_SPACE, exact_index, positive_k
 from .sequences import Family, Terms, seq_binet, seq_prefix_sum
+
+if TYPE_CHECKING:
+    import random
 
 
 Bindings = Mapping[str, object]
@@ -244,6 +248,8 @@ def _sides_prefix_sum(t, n):
 # --- sample-based ring properties --------------------------------------------
 
 def _sample_rng(tag: str, index: int) -> random.Random:
+    import random
+
     # str seeds hash via sha512 inside random.seed: stable across runs/platforms
     return random.Random(f"dualpell:{tag}:{index}")
 
@@ -359,7 +365,7 @@ class IdentityId(Enum):
         if type(tag) is not str:
             raise TypeError(f"identity tag must be str, got {type(tag).__name__}")
         try:
-            return cls(tag.strip().lower())
+            return cls(tag.strip(ASCII_SPACE).lower())
         except ValueError:
             raise ValueError(f"unknown identity id: {tag!r}") from None
 

@@ -17,18 +17,21 @@ import re
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?", re.ASCII)  # 0-9 only, as rendered
+# What text flags and names may be padded with; str.strip() with no argument
+# would also take Unicode spaces and the separators \x1c-\x1f.
+ASCII_SPACE = " \t\n\r\v\f"
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` (ASCII decimal digits, q > 0) into a Fraction.
 
-    Rejects everything else with ValueError (zero or signed denominators,
-    decimals, exponents, empty strings, other scripts' digits) and a non-str
-    with TypeError.
+    Surrounding ASCII whitespace is ignored. Rejects everything else with
+    ValueError (zero or signed denominators, decimals, exponents, empty
+    strings, other scripts' digits and spaces) and a non-str with TypeError.
     """
     if type(text) is not str:
         raise TypeError(f"rational text must be str, got {type(text).__name__}")
-    s = text.strip()
+    s = text.strip(ASCII_SPACE)
     if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"malformed rational: {text!r}")
     return Fraction(s)

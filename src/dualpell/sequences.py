@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .dualcomplex import DualComplex
-from .scalars import _cleared_roots, exact_index, positive_k
+from .scalars import ASCII_SPACE, _cleared_roots, exact_index, positive_k
 
 
 class Family(Enum):
@@ -35,7 +35,7 @@ class Family(Enum):
     def from_name(cls, name: str) -> "Family":
         if type(name) is not str:
             raise TypeError(f"family name must be str, got {type(name).__name__}")
-        key = name.strip().lower()
+        key = name.strip(ASCII_SPACE).lower()
         aliases = {
             "pell": cls.K_PELL,
             "p": cls.K_PELL,

@@ -94,6 +94,60 @@ def test_seq_rejects_k_in_non_ascii_digits(capsys, k):
     assert "malformed rational" in err
 
 
+NOT_ASCII = {
+    # int() would take each of these: other scripts' digits, '_', Unicode spaces.
+    "identity-n-arabic": (["identity", "--id", "g18", "--k", "2", "--n", "\u0663"], "--n"),
+    "identity-n-underscore": (["identity", "--id", "g18", "--k", "2", "--n", "1_0"], "--n"),
+    "identity-m-fullwidth": (["identity", "--id", "g13", "--k", "2", "--n", "1", "--m", "\uff12"], "--m"),
+    "identity-r-nbsp": (["identity", "--id", "g19stated", "--k", "2", "--n", "3", "--r", "1\xa0"], "--r"),
+    "seq-from": (["seq", "--family", "pell", "--k", "2", "--from", "\u0660", "--to", "3"], "--from"),
+    "seq-to": (["seq", "--family", "pell", "--k", "2", "--from", "0", "--to", "\u0663"], "--to"),
+    "quat-n": (["quat", "--family", "pell", "--k", "2", "--n", "\u20033"], "--n"),
+    "binet-n": (["binet", "--k", "2", "--n", "\u0663"], "--n"),
+    "sweep-n-range": (["sweep", "--ids", "g18", "--n", "\u0661..\u0663"], "--n"),
+    "sweep-m-upper": (["sweep", "--ids", "g13", "--m", "1..1_0"], "--m"),
+    "sweep-r-single": (["sweep", "--ids", "g19stated", "--r", "\u0662"], "--r"),
+    "sweep-max-counterexamples": (["sweep", "--ids", "g18", "--max-counterexamples", "\u0663"],
+                                  "--max-counterexamples"),
+    "seq-family-separator": (["seq", "--family", "pell\x1f", "--k", "2", "--from", "0", "--to", "1"],
+                             "--family"),
+    "seq-k-nbsp": (["seq", "--family", "pell", "--k", "2\xa0", "--from", "0", "--to", "1"], "--k"),
+    "identity-id-separator": (["identity", "--id", "g13\x1c", "--k", "2", "--n", "1", "--m", "1"],
+                              "--id"),
+    "sweep-ids-all-separator": (["sweep", "--ids", "all\x1c"], "--ids"),
+}
+
+
+@pytest.mark.parametrize("argv,flag", NOT_ASCII.values(), ids=NOT_ASCII.keys())
+def test_flags_take_ascii_digits_and_ascii_spaces_only(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: argument {flag}: " in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["quat", "--family", "pell", "--k", "2", "--n", "1.5"], "argument --n: invalid int value: '1.5'"),
+        (["sweep", "--ids", "g18", "--n", "a..3"],
+         "argument --n: invalid literal for int() with base 10: 'a'"),
+        (["binet", "--k", "2", "--n", "x"], "argument --n: invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_what_int_rejects_keeps_its_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.rstrip().endswith(f"error: {message}")
+
+
+def test_flags_trim_ascii_whitespace(capsys):
+    code, out, _ = run(capsys, "seq", "--family", " pell\t", "--k", "2\n", "--from", " -2",
+                       "--to", "+2 ", "--format", "plain")
+    assert (code, out.strip()) == (0, "-1/2 1/2 0 1 2")
+    code, out, _ = run(capsys, "sweep", "--ids", " g18 ", "--k", "1", "--n", " 1 .. 3 ")
+    assert (code, out.strip()) == (0, "g18 holds 3 0")
+
+
 def test_json_rendering_roundtrips(capsys):
     code, out, _ = run(capsys, "quat", "--family", "modified", "--k", "7/3", "--n", "2")
     assert code == 0

@@ -161,8 +161,10 @@ def test_sample_entries_are_deterministic():
 
 
 def test_unknown_id_rejected():
-    with pytest.raises(ValueError):
-        IdentityId.from_tag("g99")
+    assert IdentityId.from_tag(" G13\n") is IdentityId.G13
+    for tag in ("g99", "g13\x1c", "\x1eg13", "g13\xa0", "\u3000g13"):
+        with pytest.raises(ValueError):
+            IdentityId.from_tag(tag)
 
 
 def test_missing_binding_rejected():

@@ -36,7 +36,8 @@ def test_rational_canonical_form():
 
 @pytest.mark.parametrize(
     "text,value",
-    [("-3", Fraction(-3)), ("5/6", Fraction(5, 6)), ("+7", Fraction(7)), ("0", 0)],
+    [("-3", Fraction(-3)), ("5/6", Fraction(5, 6)), ("+7", Fraction(7)), ("0", 0),
+     (" \t7/2\n", Fraction(7, 2))],
 )
 def test_parse_rational_accepts(text, value):
     assert parse_rational(text) == value
@@ -44,7 +45,9 @@ def test_parse_rational_accepts(text, value):
 
 @pytest.mark.parametrize(
     "text",
-    ["5/0", "1/-2", "1.5", "", "3/", "1e3", "a", "1 / 2", "\u0663", "1/1\u0662", "1/\u0662", "\uff11"],
+    ["5/0", "1/-2", "1.5", "", "3/", "1e3", "a", "1 / 2", "\u0663", "1/1\u0662", "1/\u0662", "\uff11",
+     # Only ASCII whitespace is trimmed: not Unicode spaces nor the separators \x1c-\x1f.
+     "3\x1c", "\x1f3", "\xa07/2", "2\u2003", "1_0"],
 )
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):

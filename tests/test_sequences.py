@@ -35,8 +35,10 @@ def test_family_names():
     assert Family.from_name("pell") is Family.K_PELL
     assert Family.from_name("pell-lucas") is Family.K_PELL_LUCAS
     assert Family.from_name("modified") is Family.MODIFIED_K_PELL
-    with pytest.raises(ValueError):
-        Family.from_name("fibonacci")
+    assert Family.from_name(" PL\t") is Family.K_PELL_LUCAS
+    for name in ("fibonacci", "pell\x1f", "\xa0pell", "mp\u2003"):
+        with pytest.raises(ValueError):
+            Family.from_name(name)
 
 
 def test_symbolic_third_term():

@@ -29,11 +29,16 @@ def fresh(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def loaded_after(code: str) -> set[str]:
-    """The dualpell submodules loaded once ``code`` has run in a fresh interpreter."""
+def modules_after(code: str) -> set[str]:
+    """Every module loaded once ``code`` has run in a fresh interpreter."""
     done = fresh("-c", code + "\nimport sys\nprint(*sorted(sys.modules))")
     assert done.returncode == 0, done.stderr[-2000:]
-    return {name for name in done.stdout.split() if name.startswith("dualpell.")}
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def loaded_after(code: str) -> set[str]:
+    """The dualpell submodules loaded once ``code`` has run in a fresh interpreter."""
+    return {name for name in modules_after(code) if name.startswith("dualpell.")}
 
 
 def test_import_loads_no_submodule_and_seq_loads_no_catalog():
@@ -44,7 +49,30 @@ def test_import_loads_no_submodule_and_seq_loads_no_catalog():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['seq', '--family', 'pell', '--k', '2', '--from', '0', '--to', '9']) == 0"
     )
-    assert seq == {f"dualpell.{m}" for m in ("scalars", "dualcomplex", "sequences", "verifier", "cli")}
+    assert seq == {f"dualpell.{m}" for m in ("scalars", "dualcomplex", "sequences", "cli")}
+
+
+PARSER_PATHS = {
+    "build_parser": "import dualpell.cli\ndualpell.cli.build_parser()",
+    # What `python -m dualpell --help` runs, with the module list printed after it.
+    "help": (
+        "import runpy, sys\n"
+        "sys.argv[1:] = ['--help']\n"
+        "try:\n"
+        "    runpy.run_module('dualpell', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass"
+    ),
+}
+
+
+@pytest.mark.parametrize("code", PARSER_PATHS.values(), ids=PARSER_PATHS.keys())
+def test_parser_path_loads_no_verifier_and_no_dataclasses(code):
+    # Against a bare interpreter's modules, so a site hook that loads them is no failure.
+    bare = modules_after("pass")
+    loaded = modules_after(code)
+    assert "dualpell.verifier" not in loaded
+    assert {"dataclasses", "inspect"} & loaded <= bare
 
 
 def test_tracer_finds_every_module_after_cli_and_identities():
