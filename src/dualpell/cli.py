@@ -1,7 +1,8 @@
 """Command-line front-end: sequences, quaternions, identity checks, sweeps.
 
 Exit codes: 0 success, 1 an exact check came out unequal or inconsistent,
-2 usage error (malformed flags, unknown ids, out-of-range parameters).
+2 usage error (malformed flags, unknown ids, out-of-range parameters),
+141 (128 + SIGPIPE) the reader closed stdout before the output was written.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ if TYPE_CHECKING:
 
 USAGE_ERROR = 2
 UNEQUAL = 1
+BROKEN_PIPE = 141
 
 
 def _usage(parse):
@@ -292,6 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    """The command's exit code, with its output flushed, or BROKEN_PIPE if the reader has gone."""
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        import os
+
+        # What is still buffered goes to devnull, so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -299,11 +317,11 @@ def main(argv: list[str] | None = None) -> int:
     # is lifted for this call only and restored for in-process callers.
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
-        return args.func(args)
+        return _run(args)
     previous = sys.get_int_max_str_digits()
     set_limit(0)
     try:
-        return args.func(args)
+        return _run(args)
     finally:
         set_limit(previous)
 

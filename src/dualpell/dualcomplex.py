@@ -8,7 +8,7 @@ Coefficients are generic over an exact scalar ring: one multiplication formula
 serves int, Fraction and QuadExt, which is how the Binet machinery reuses it.
 int and Fraction coefficients may mix. Over Q, that is with every coefficient
 in scalars._EXACT (int or Fraction) and a Fraction among the operands, +, -,
-unary -, scale, *, / and the conjugates run in int on each value's canonical
+unary -, scale, * and the conjugates run in int on each value's canonical
 cleared form (n1, n2, n3, n4, d): the coefficients are nj / d with d > 1
 and gcd(n1, n2, n3, n4, d) = 1. A value caches its form on its first use over Q,
 and each kernel returns a result that holds its form alone: the four
@@ -16,11 +16,11 @@ Fraction coefficients are built from it on the first read of one of them,
 and == compares two forms directly. A result whose reduced d is 1 comes
 back with plain int coefficients and no form, so all-int values keep their
 int path. Over Q the dual-complex conjugate of (a, b, c, e)/D is
-(aN, -bN, x, y)/(D N) with N = a^2 + b^2, and a quotient w / v is the int
-product of w's numerators with (aN, -bN, x, y) over D_w N^2 / D, where D and
-D_w are the denominators of v and w. Over int both clear to d = 1 first, as
-they divide. With any other coefficient (a QuadExt) they scale by the exact
-reciprocal Fraction(1)/|z1|^2. No coefficient ever becomes a float.
+(aN, -bN, x, y)/(D N) with N = a^2 + b^2 (over int with D = 1); over a
+QuadExt it scales by the exact reciprocal Fraction(1)/|z1|^2. A quotient
+w / v is w v* / (v v*) for the dual-complex conjugate v*, on one route for
+every scalar ring: v v* is the real |z1|^2, so it is w v* scaled by its
+reciprocal. No coefficient ever becomes a float.
 """
 
 from __future__ import annotations
@@ -180,22 +180,13 @@ class DualComplex:
     def __truediv__(self, other: "DualComplex") -> "DualComplex":
         """Quotient q with q * other == self; other needs a nonzero complex part.
 
-        other times its dual-complex conjugate is the real |z3|^2, where z3 is
-        the complex part of other, so q = self * conj(other) / |z3|^2. Over Q
-        the product runs on the cleared forms, in int.
+        other times its dual-complex conjugate c is the real |z1|^2 of its
+        complex part z1, so q = self * c / (other * c), on every scalar ring.
         """
         if not isinstance(other, DualComplex):
             return NotImplemented
-        s, v = _q_form(self), _q_form(other)
-        if s is None or v is None:
-            conj = other.conjugate(Conjugation.DUAL_COMPLEX)
-            return (self * conj).scale(Fraction(1) / (other.real**2 + other.imag**2))
-        # With other = (a, b, c, e)/D, N = a^2 + b^2 and x + yi its eps slot's
-        # numerator, conj(other)/|z3|^2 is D (aN, -bN, x, y)/N^2.
-        a, b, c, e, d = v
-        x, y, n = _conjugate_eps(a, b, c, e)
-        c1, c2, c3, c4 = _product(s[0], s[1], s[2], s[3], a * n, -b * n, x, y)
-        return _over(d * c1, d * c2, d * c3, d * c4, s[4] * n * n)
+        c = other.conjugate(Conjugation.DUAL_COMPLEX)
+        return (self * c).scale(Fraction(1) / (other * c).real)
 
     def conjugate(self, kind: Conjugation) -> "DualComplex":
         if kind is not Conjugation.DUAL_COMPLEX:
@@ -223,17 +214,19 @@ class DualComplex:
         return self * self.conjugate(kind)
 
     def to_json_dict(self) -> dict:
-        r, i, d, di = self.coefficients()
-        return {"one": str(r), "i": str(i), "eps": str(d), "ieps": str(di)}
+        return dict(zip(_JSON_KEYS, map(str, self.coefficients())))
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DualComplex":
-        return cls(
-            parse_rational(obj["one"]),
-            parse_rational(obj["i"]),
-            parse_rational(obj["eps"]),
-            parse_rational(obj["ieps"]),
-        )
+        """The value to_json_dict wrote: exactly the keys one, i, eps and ieps, each a str."""
+        missing = [key for key in _JSON_KEYS if key not in obj]
+        extra = [key for key in obj if key not in _JSON_KEYS]
+        if missing or extra:
+            raise ValueError(
+                f"a DualComplex needs keys {_JSON_KEYS}: "
+                f"missing {missing or 'none'}, unexpected {extra or 'none'}"
+            )
+        return cls(*(parse_rational(obj[key]) for key in _JSON_KEYS))
 
     def render(self) -> str:
         r, i, d, di = self.coefficients()
@@ -306,6 +299,8 @@ def _product(a1: Any, a2: Any, a3: Any, a4: Any, b1: Any, b2: Any, b3: Any, b4: 
         a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2,
     )
 
+
+_JSON_KEYS = ("one", "i", "eps", "ieps")
 
 _MOVES = {
     Conjugation.COMPLEX: lambda r, i, d, di: (r, -i, d, -di),

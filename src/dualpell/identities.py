@@ -60,37 +60,25 @@ def _dc(one, i=0, eps=0, ieps=0) -> DualComplex:
 
 # --- conjugation products of the k-Pell dual-complex number (F12-F25) ------
 
-def _product_entry(kind: Conjugation, rhs) -> Sides:
+def _norm_entry(kind: Conjugation, slot: int | None = None, value=None) -> Sides:
+    """w * conj(w) = |z1|^2 + e value(t, n) with |z1|^2 = P_n^2 + P_{n+1}^2.
+
+    e is the one slot besides 1 that kind's product keeps, at index slot; the
+    dual-complex conjugate's product keeps none.
+    """
     def sides(t, n):
-        return t.q(n).norm_product(kind), rhs(t, n)
+        slots = [t.p(n) ** 2 + t.p(n + 1) ** 2, 0, 0, 0]
+        if slot is not None:
+            slots[slot] = value(t, n)
+        return t.q(n).norm_product(kind), _dc(*slots)
 
     return sides
 
 
-def _rhs_f12_raw(t, n):
-    cross = t.p(n) * t.p(n + 2) + t.p(n + 1) * t.p(n + 3)
-    return _dc(t.p(n) ** 2 + t.p(n + 1) ** 2, 0, 2 * cross, 0)
-
-
-def _rhs_f12_simplified(t, n):
-    return _dc(t.p(n) ** 2 + t.p(n + 1) ** 2, 0, 2 * t.p(2 * n + 3), 0)
-
-
-def _rhs_f13(t, n):
-    return _dc(t.p(n) ** 2 - t.p(n + 1) ** 2, 2 * t.p(n) * t.p(n + 1), 0, 0)
-
-
-def _rhs_f14_closed(t, n):
-    return _dc(t.p(n) ** 2 + t.p(n + 1) ** 2, 0, 0, -4 * _neg_k_pow(t, n))
-
-
-def _rhs_f24_raw(t, n):
-    cross = t.p(n) * t.p(n + 3) - t.p(n + 1) * t.p(n + 2)
-    return _dc(t.p(n) ** 2 + t.p(n + 1) ** 2, 0, 0, 2 * cross)
-
-
-def _rhs_pure_scalar(t, n):
-    return _dc(t.p(n) ** 2 + t.p(n + 1) ** 2)
+def _sides_f13(t, n):
+    """Under the dual conjugate w * conj(w) = z1^2, not |z1|^2."""
+    p0, p1 = t.p(n), t.p(n + 1)
+    return t.q(n).norm_product(Conjugation.DUAL), _dc(p0**2 - p1**2, 2 * p0 * p1)
 
 
 # --- conjugation sums and mixed relations (F16-F21) -------------------------
@@ -298,15 +286,16 @@ def _pre_catalan(n: int, r: int) -> bool:
 
 
 # F22S, F23 and F25 restate F12S, F13 and F15, and G9 restates F26; each
-# pair shares one entry. F16-F18 are one conjugate sum by the slot each keeps,
-# read off the paper (eps, i, i*eps), and F26 and F27 one recurrence. G10 is
+# pair shares one entry. F12S, F12RAW, F14, F15 and F24 are one norm product
+# and F16-F18 one conjugate sum, by the slot each keeps, read off the paper
+# (eps, i*eps or none; eps, i, i*eps), and F26 and F27 one recurrence. G10 is
 # G13 (Honsberger) at (n + 1, n); d'Ocagne (G17, HELPER_DOCAGNE, F14KERNEL),
 # Catalan (G19PROOF) and Cassini (G18, HELPER_CASSINI) are Vajda's identity at
 # fixed indices. Each row calls the module function, not a CATALOG entry, and
 # keeps its own params, pre and entry.
-_F12S = CatalogEntry(_product_entry(Conjugation.COMPLEX, _rhs_f12_simplified))
-_F13 = CatalogEntry(_product_entry(Conjugation.DUAL, _rhs_f13))
-_F15 = CatalogEntry(_product_entry(Conjugation.DUAL_COMPLEX, _rhs_pure_scalar))
+_F12S = CatalogEntry(_norm_entry(Conjugation.COMPLEX, 2, lambda t, n: 2 * t.p(2 * n + 3)))
+_F13 = CatalogEntry(_sides_f13)
+_F15 = CatalogEntry(_norm_entry(Conjugation.DUAL_COMPLEX))
 _F26 = CatalogEntry(_recurrence(Family.K_PELL))
 
 
@@ -320,9 +309,10 @@ class IdentityId(Enum):
         return member
 
     F12S = "f12s", _F12S
-    F12RAW = "f12raw", CatalogEntry(_product_entry(Conjugation.COMPLEX, _rhs_f12_raw))
+    F12RAW = "f12raw", CatalogEntry(_norm_entry(
+        Conjugation.COMPLEX, 2, lambda t, n: 2 * (t.p(n) * t.p(n + 2) + t.p(n + 1) * t.p(n + 3))))
     F13 = "f13", _F13
-    F14 = "f14", CatalogEntry(_product_entry(Conjugation.COUPLED, _rhs_f14_closed))
+    F14 = "f14", CatalogEntry(_norm_entry(Conjugation.COUPLED, 3, lambda t, n: -4 * _neg_k_pow(t, n)))
     F15 = "f15", _F15
     F16 = "f16", CatalogEntry(_sum_entry(Conjugation.COMPLEX, 2))
     F17 = "f17", CatalogEntry(_sum_entry(Conjugation.DUAL, 1))
@@ -332,7 +322,8 @@ class IdentityId(Enum):
     F21 = "f21", CatalogEntry(_sides_f21)
     F22S = "f22s", _F12S
     F23 = "f23", _F13
-    F24 = "f24", CatalogEntry(_product_entry(Conjugation.COUPLED, _rhs_f24_raw))
+    F24 = "f24", CatalogEntry(_norm_entry(
+        Conjugation.COUPLED, 3, lambda t, n: 2 * (t.p(n) * t.p(n + 3) - t.p(n + 1) * t.p(n + 2))))
     F25 = "f25", _F15
     F26 = "f26", _F26
     F27 = "f27", CatalogEntry(_recurrence(Family.K_PELL_LUCAS))

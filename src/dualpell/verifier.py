@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -144,10 +145,10 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
     for ident in config.ids:
         entry = CATALOG[ident]
         started = time.perf_counter()
-        # pre never reads k, so each identity's grid is filtered once.
-        points = list(itertools.product(*(axes[p] for p in entry.params)))
-        grid = [v for v in points if entry.pre(*v)]
-        skipped = len(points) - len(grid)
+        # pre never reads k, so each identity's grid is filtered once, as it streams.
+        own_axes = [axes[p] for p in entry.params]
+        grid = [v for v in itertools.product(*own_axes) if entry.pre(*v)]
+        skipped = math.prod(map(len, own_axes)) - len(grid)
         ks = config.k_values if entry.uses_k else (None,)
         k1_failed = False
         failures = 0

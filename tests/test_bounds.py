@@ -72,6 +72,20 @@ def test_evaluations_hold_no_products_after_they_return():
     assert after_sides - after_sweep < 2**15, f"identity_sides left {after_sides - after_sweep} bytes"
 
 
+def test_sweep_filters_its_grid_as_it_streams():
+    # 200,000 (n, r) points, every one with r > n, so the precondition rejects all
+    config = SweepConfig((IdentityId.G19STATED,), (1,), (0, 499), (0, 0), (500, 899))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        (report,) = sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.grid_size, report.skipped) == (0, 200_000)
+    assert peak < 2**20, f"sweep peaked at {peak} bytes"  # a listed product takes about 12 MiB
+
+
 def test_pell_reads_at_fresh_k_hold_no_family_numbers():
     tables = sequences._numbers.cache_info  # one entry per (family, k) table made
     before = tables().currsize

@@ -1,8 +1,11 @@
 """The command-line contract: exit codes, formats, round-trips."""
 
 import json
+import os
+import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -331,3 +334,38 @@ def test_identity_without_k_drops_the_k_flag(capsys):
     code, out, _ = run(capsys, "identity", "--id", "ring_axioms", "--k", "2", "--n", "0")
     assert code == 0
     assert json.loads(out)["equal"] is True
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def cli_child(*argv: str, stdout) -> subprocess.Popen:
+    """A fresh `python -W error -m dualpell` of this checkout, writing its output to stdout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "dualpell", *argv],
+        env=dict(os.environ, PYTHONPATH=path), stdout=stdout, stderr=subprocess.PIPE,
+    )
+
+
+def assert_quiet_broken_pipe(child: subprocess.Popen, err: bytes) -> None:
+    assert child.wait(timeout=120) == 141
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err.decode()
+
+
+def test_reader_gone_mid_output_exits_141_without_traceback():
+    argv = ("seq", "--family", "pell", "--k", "2", "--from", "0", "--to", "3000", "--format", "plain")
+    with cli_child(*argv, stdout=subprocess.PIPE) as child:
+        assert child.stdout.read(10) == b"0 1 2 6 16"
+        child.stdout.close()
+        assert_quiet_broken_pipe(child, child.stderr.read())
+
+
+def test_reader_gone_before_output_exits_141_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader from the start, so the first write fails
+    try:
+        with cli_child("quat", "--family", "pell", "--k", "2", "--n", "5", stdout=write_end) as child:
+            assert_quiet_broken_pipe(child, child.stderr.read())
+    finally:
+        os.close(write_end)

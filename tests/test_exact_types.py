@@ -300,6 +300,21 @@ def test_from_json_dict_rejects_non_text_coefficient(bad):
         DualComplex.from_json_dict(obj)
 
 
+@pytest.mark.parametrize(
+    "obj, named",
+    [
+        ({"one": "1"}, "missing ['i', 'eps', 'ieps']"),
+        ({"one": "1", "i": "2", "eps": "3"}, "missing ['ieps']"),
+        ({"one": "1", "i": "2", "eps": "3", "ieps": "4", "j": "5"}, "unexpected ['j']"),
+        ({"one": "1", "i": "2", "eps": "3", "iesp": "4"}, "missing ['ieps'], unexpected ['iesp']"),
+    ],
+)
+def test_from_json_dict_takes_exactly_the_four_keys(obj, named):
+    with pytest.raises(ValueError) as raised:
+        DualComplex.from_json_dict(obj)
+    assert named in str(raised.value)
+
+
 @pytest.mark.parametrize("bad", [0.1, True])
 def test_render_rational_rejects_bool_and_float(bad):
     with pytest.raises(TypeError):
