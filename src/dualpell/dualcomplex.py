@@ -7,20 +7,21 @@ when z1 is nonzero; elements with z1 = 0 are zero divisors (eps is nilpotent).
 Coefficients are generic over an exact scalar ring: one multiplication formula
 serves int, Fraction and QuadExt, which is how the Binet machinery reuses it.
 int and Fraction coefficients may mix. Over Q, that is with every coefficient
-in scalars._EXACT (int or Fraction) and a Fraction among the operands, +, -,
-unary -, scale, * and the conjugates run in int on each value's canonical
-cleared form (n1, n2, n3, n4, d): the coefficients are nj / d with d > 1
-and gcd(n1, n2, n3, n4, d) = 1. A value caches its form on its first use over Q,
-and each kernel returns a result that holds its form alone: the four
-Fraction coefficients are built from it on the first read of one of them,
-and == compares two forms directly. A result whose reduced d is 1 comes
-back with plain int coefficients and no form, so all-int values keep their
-int path. Over Q the dual-complex conjugate of (a, b, c, e)/D is
-(aN, -bN, x, y)/(D N) with N = a^2 + b^2 (over int with D = 1); over a
-QuadExt it scales by the exact reciprocal Fraction(1)/|z1|^2. A quotient
-w / v is w v* / (v v*) for the dual-complex conjugate v*, on one route for
-every scalar ring: v v* is the real |z1|^2, so it is w v* scaled by its
-reciprocal. No coefficient ever becomes a float.
+in scalars._EXACT (int or Fraction), +, -, unary -, scale, *, == and the
+conjugates run in int on each value's canonical cleared form
+(n1, n2, n3, n4, d): the coefficients are nj / d with d >= 1 and
+gcd(n1, n2, n3, n4, d) = 1. A value holds its coefficients, its form, or
+both. An all-int value holds its form alone, with d = 1. A value given a
+Fraction keeps its coefficients as given, and caches its form on its first
+use over Q. A kernel's result holds its form alone: its coefficients are
+read off the form, as plain ints when d = 1, so integral results come back
+with int coefficients. With a QuadExt coefficient the same formulas run on
+the coefficients. Over Q the dual-complex conjugate of (a, b, c, e)/D is
+(aN, -bN, x, y)/(D N) with N = a^2 + b^2; over a QuadExt it scales by the
+exact reciprocal Fraction(1)/|z1|^2. A quotient w / v is w v* / (v v*) for
+the dual-complex conjugate v*, on one route for every scalar ring: v v* is
+the real |z1|^2, so it is w v* scaled by its reciprocal. No coefficient ever
+becomes a float.
 """
 
 from __future__ import annotations
@@ -61,15 +62,15 @@ class DualComplex:
     """w = real + imag*i + dual*eps + dual_imag*i*eps over int, Fraction or QuadExt.
 
     A float or bool coefficient raises TypeError. The four fields are read-only
-    properties over the private slots _r, _i, _d and _di, and never change. One
-    more private slot, _form, may hold the canonical cleared form of a value
-    over Q (see _q_form); a kernel's result over Q holds only its form, and
-    the first read of a coefficient fills all four slots from it (see
-    coefficients). _form is not a field, so repr, hash and the constructor
-    never show it, and == answers the same with or without it.
+    properties over two private slots, and never change: _c holds the four
+    coefficients, or None while the value holds its form alone (see
+    coefficients), and _form holds the canonical cleared form over Q (see
+    _q_form), or False while none is known. Neither slot is a field, so repr,
+    hash and the constructor never show them, and == answers the same
+    whichever a value holds.
     """
 
-    __slots__ = ("_r", "_i", "_d", "_di", "_form")
+    __slots__ = ("_c", "_form")
 
     real: Any = property(lambda w: w.coefficients()[0])
     imag: Any = property(lambda w: w.coefficients()[1])
@@ -78,25 +79,21 @@ class DualComplex:
 
     def __init__(self, real: Any, imag: Any, dual: Any, dual_imag: Any) -> None:
         if type(real) is int and type(imag) is int and type(dual) is int and type(dual_imag) is int:
-            self._form = None
+            self._c, self._form = None, (real, imag, dual, dual_imag, 1)
         elif (type(real) in _SCALARS and type(imag) in _SCALARS
                 and type(dual) in _SCALARS and type(dual_imag) in _SCALARS):
-            self._form = False
+            self._c, self._form = (real, imag, dual, dual_imag), False
         else:
             shown = ", ".join(type(c).__name__ for c in (real, imag, dual, dual_imag))
             raise TypeError(f"DualComplex coefficients must be int, Fraction or QuadExt, got ({shown})")
-        self._r, self._i, self._d, self._di = real, imag, dual, dual_imag
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not DualComplex:
             return NotImplemented
-        form, other_form = self._form, other._form
+        form, other_form = self._form or _q_form(self), other._form or _q_form(other)
         if form and other_form:
             return form == other_form  # canonical, so equal values have equal forms
-        if not form and not other_form:  # neither holds a form, so both were built eagerly
-            return (self._r, self._i, self._d, self._di) == (other._r, other._i, other._d, other._di)
-        forms = _q_forms(self, other)
-        return self.coefficients() == other.coefficients() if forms is None else forms[0] == forms[1]
+        return self.coefficients() == other.coefficients()
 
     def complex_part(self) -> tuple:
         """z1 of the split w = z1 + eps*z2."""
@@ -107,13 +104,13 @@ class DualComplex:
         return (self.dual, self.dual_imag)
 
     def coefficients(self) -> tuple:
-        try:
-            return self._r, self._i, self._d, self._di
-        except AttributeError:  # the first read of a value that holds its form alone
+        c = self._c
+        if c is None:  # a value holding its form alone: ints read as they are, Fractions built once
             n1, n2, n3, n4, d = self._form
-            c = Fraction(n1, d), Fraction(n2, d), Fraction(n3, d), Fraction(n4, d)
-            self._r, self._i, self._d, self._di = c
-            return c
+            if d == 1:
+                return n1, n2, n3, n4
+            c = self._c = Fraction(n1, d), Fraction(n2, d), Fraction(n3, d), Fraction(n4, d)
+        return c
 
     def has_zero_complex_part(self) -> bool:
         return not self.real and not self.imag
@@ -121,22 +118,18 @@ class DualComplex:
     def __add__(self, other: "DualComplex") -> "DualComplex":
         if not isinstance(other, DualComplex):
             return NotImplemented
-        if self._form is not None or other._form is not None:
-            forms = _q_forms(self, other)
-            if forms is None:  # a QuadExt coefficient; either operand may hold its form alone
-                return DualComplex(*map(add, self.coefficients(), other.coefficients()))
-            return _sum(*forms, 1)
-        return DualComplex(self._r + other._r, self._i + other._i, self._d + other._d, self._di + other._di)
+        form, other_form = self._form or _q_form(self), other._form or _q_form(other)
+        if form and other_form:
+            return _sum(form, other_form, add)
+        return DualComplex(*map(add, self.coefficients(), other.coefficients()))
 
     def __sub__(self, other: "DualComplex") -> "DualComplex":
         if not isinstance(other, DualComplex):
             return NotImplemented
-        if self._form is not None or other._form is not None:
-            forms = _q_forms(self, other)
-            if forms is None:  # a QuadExt coefficient; either operand may hold its form alone
-                return DualComplex(*map(sub, self.coefficients(), other.coefficients()))
-            return _sum(*forms, -1)
-        return DualComplex(self._r - other._r, self._i - other._i, self._d - other._d, self._di - other._di)
+        form, other_form = self._form or _q_form(self), other._form or _q_form(other)
+        if form and other_form:
+            return _sum(form, other_form, sub)
+        return DualComplex(*map(sub, self.coefficients(), other.coefficients()))
 
     def __neg__(self) -> "DualComplex":
         return self.scale(-1)
@@ -149,30 +142,26 @@ class DualComplex:
         kind = type(s)
         if kind not in _SCALARS:
             raise TypeError(f"cannot scale a DualComplex by {kind.__name__}")
-        if kind not in _EXACT:  # a QuadExt
-            return DualComplex(*map(s.__mul__, self.coefficients()))
         if kind is Fraction and s.denominator == 1:
             s, kind = s.numerator, int
-        if kind is Fraction or self._form is not None:
-            form = _q_form(self)
-            if form is not None:
-                n1, n2, n3, n4, d = form
-                p = s.numerator
-                return _over(p * n1, p * n2, p * n3, p * n4, s.denominator * d)
-        return DualComplex(s * self._r, s * self._i, s * self._d, s * self._di)
+        form = kind in _EXACT and (self._form or _q_form(self))
+        if form:
+            n1, n2, n3, n4, d = form
+            p = s.numerator
+            return _over(p * n1, p * n2, p * n3, p * n4, s.denominator * d)
+        return DualComplex(*[s * c for c in self.coefficients()])
 
     def __mul__(self, other: Any) -> "DualComplex":
         if not isinstance(other, DualComplex):
             return self.scale(other)
-        if self._form is None and other._form is None:
-            return DualComplex(*_product(self._r, self._i, self._d, self._di,
-                                         other._r, other._i, other._d, other._di))
         # Over Q the formula runs on the operands' cleared forms, in int.
-        forms = _q_forms(self, other)
-        if forms is None:
-            return DualComplex(*_product(*self.coefficients(), *other.coefficients()))
-        (a1, a2, a3, a4, da), (b1, b2, b3, b4, db) = forms
-        return _over(*_product(a1, a2, a3, a4, b1, b2, b3, b4), da * db)
+        form, other_form = self._form or _q_form(self), other._form or _q_form(other)
+        if form and other_form:
+            a1, a2, a3, a4, da = form
+            b1, b2, b3, b4, db = other_form
+            n1, n2, n3, n4 = _product(a1, a2, a3, a4, b1, b2, b3, b4)
+            return _over(n1, n2, n3, n4, da * db)
+        return DualComplex(*_product(*self.coefficients(), *other.coefficients()))
 
     def __rmul__(self, other: Any) -> "DualComplex":
         return self.scale(other)
@@ -190,21 +179,21 @@ class DualComplex:
 
     def conjugate(self, kind: Conjugation) -> "DualComplex":
         if kind is not Conjugation.DUAL_COMPLEX:
-            # a signed permutation of a cached form's numerators, or else of the slots
+            # a signed permutation of a held form's numerators, or else of the coefficients
             move, form = _MOVES[kind], self._form
             if not form:
-                return DualComplex(*move(self._r, self._i, self._d, self._di))
+                return DualComplex(*move(*self._c))
             w = object.__new__(DualComplex)
-            w._form = (*move(form[0], form[1], form[2], form[3]), form[4])
+            w._c, w._form = None, (*move(form[0], form[1], form[2], form[3]), form[4])
             return w
         # Over Q on the cleared form (a, b, c, e)/D, so the result is
         # (aN, -bN, x, y)/(D N) with N = |Z1|^2 for Z1 = D z1.
-        form = _q_form(self)
-        if form is not None:
+        form = self._form or _q_form(self)
+        if form:
             a, b, c, e, den = form
             x, y, n = _conjugate_eps(a, b, c, e)
             return _over(a * n, -b * n, x, y, den * n)
-        r, i, d, di = self._r, self._i, self._d, self._di  # a QuadExt value, so built eagerly
+        r, i, d, di = self._c  # a QuadExt value, so it holds its coefficients
         x, y, n = _conjugate_eps(r, i, d, di)
         inv = Fraction(1) / n
         return DualComplex(r, -i, x * inv, y * inv)
@@ -233,61 +222,44 @@ class DualComplex:
         return f"{r} + {i}·i + {d}·eps + {di}·i·eps"
 
 
-def _cleared(c1: Any, c2: Any, c3: Any, c4: Any) -> tuple:
-    """(n1, n2, n3, n4, d) with cj == nj / d, d the lcm of the int or Fraction cj's denominators."""
-    d = lcm(c1.denominator, c2.denominator, c3.denominator, c4.denominator)
-    n1, n2 = c1.numerator * (d // c1.denominator), c2.numerator * (d // c2.denominator)
-    n3, n4 = c3.numerator * (d // c3.denominator), c4.numerator * (d // c4.denominator)
-    return n1, n2, n3, n4, d
-
-
 def _q_form(w: DualComplex) -> tuple | None:
-    """w's cleared form (n1, n2, n3, n4, d) over Q, or None when a coefficient is not in _EXACT.
+    """w's canonical cleared form (n1, n2, n3, n4, d) over Q, or None for a QuadExt coefficient.
 
-    w._form is None when all four coefficients are int, False until a value
-    with a Fraction or QuadExt is first read here, and then the form if d > 1.
-    _cleared gives the canonical form, gcd(n1, .., n4, d) = 1; an integral
-    value never caches one, so integer k keeps its int path.
+    A value without a form holds its coefficients as given; the first read
+    here clears them over the lcm d of their denominators and caches the
+    form, d = 1 included.
     """
     form = w._form
-    if form is None:
-        return w._r, w._i, w._d, w._di, 1
     if form is False:
-        if not (type(w._r) in _EXACT and type(w._i) in _EXACT
-                and type(w._d) in _EXACT and type(w._di) in _EXACT):
+        c1, c2, c3, c4 = w._c
+        if not (type(c1) in _EXACT and type(c2) in _EXACT and type(c3) in _EXACT and type(c4) in _EXACT):
             return None
-        form = _cleared(w._r, w._i, w._d, w._di)
-        if form[4] > 1:
-            w._form = form
+        d = lcm(c1.denominator, c2.denominator, c3.denominator, c4.denominator)
+        form = w._form = (c1.numerator * (d // c1.denominator), c2.numerator * (d // c2.denominator),
+                          c3.numerator * (d // c3.denominator), c4.numerator * (d // c4.denominator), d)
     return form
 
 
-def _q_forms(a: DualComplex, b: DualComplex) -> tuple | None:
-    """(a's form, b's form), or None when a coefficient is a QuadExt."""
-    fa = _q_form(a)
-    fb = None if fa is None else _q_form(b)
-    return None if fb is None else (fa, fb)
-
-
 def _over(n1: int, n2: int, n3: int, n4: int, d: int) -> DualComplex:
-    """(n1, n2, n3, n4)/d for d > 0, holding its canonical form alone, or in int when integral."""
-    g = gcd(n1, n2, n3, n4, d)
-    if g != 1:
-        n1, n2, n3, n4, d = n1 // g, n2 // g, n3 // g, n4 // g, d // g
-    if d == 1:
-        return DualComplex(n1, n2, n3, n4)
+    """(n1, n2, n3, n4)/d for d > 0, holding its canonical form alone."""
+    if d != 1:
+        g = gcd(n1, n2, n3, n4, d)
+        if g != 1:
+            n1, n2, n3, n4, d = n1 // g, n2 // g, n3 // g, n4 // g, d // g
     w = object.__new__(DualComplex)
-    w._form = (n1, n2, n3, n4, d)
+    w._c, w._form = None, (n1, n2, n3, n4, d)
     return w
 
 
-def _sum(fa: tuple, fb: tuple, sign: int) -> DualComplex:
-    """a + sign * b from the cleared forms of a and b."""
+def _sum(fa: tuple, fb: tuple, op: Any) -> DualComplex:
+    """op(a, b) for op add or sub, from the cleared forms of a and b."""
     a1, a2, a3, a4, da = fa
     b1, b2, b3, b4, db = fb
+    if da == db:  # equal denominators, as between integer values: no rescaling
+        return _over(op(a1, b1), op(a2, b2), op(a3, b3), op(a4, b4), da)
     d = lcm(da, db)
-    x, y = d // da, sign * (d // db)
-    return _over(a1 * x + b1 * y, a2 * x + b2 * y, a3 * x + b3 * y, a4 * x + b4 * y, d)
+    x, y = d // da, d // db
+    return _over(op(a1 * x, b1 * y), op(a2 * x, b2 * y), op(a3 * x, b3 * y), op(a4 * x, b4 * y), d)
 
 
 def _product(a1: Any, a2: Any, a3: Any, a4: Any, b1: Any, b2: Any, b3: Any, b4: Any) -> tuple:

@@ -63,10 +63,15 @@ def binet_quaternion(k: Fraction | int, n: int) -> DualComplex:
     it runs on rho = q alpha and rho_bar = q beta, the roots q +/- sqrt(q(p+q))
     of x^2 = 2qx + pq, in int arithmetic: slot j of the quotient is
     A_{n+j} = q^(n+j-1) P_{n+j}, and rho - rho_bar and q^(n+j-1) are divided
-    out at the end, in one Fraction per slot.
+    out at the end, in one Fraction per slot. At n < 0 the powers are
+    (-rho_bar)^-n and (-rho)^-n, and slot j is q^j p^-n (alpha^(n+j) - beta^(n+j)),
+    so q^j p^-n is divided out instead (see scalars._cleared_roots).
     """
-    n = exact_index(n, 0)
+    n = exact_index(n)
     rho, rho_bar, unclear = _cleared_roots(k)
+    if n < 0:
+        numerator = _hat(rho).scale((-rho_bar) ** -n) - _hat(rho_bar).scale((-rho) ** -n)
+        return DualComplex(*(unclear(c, j, -n) for j, c in enumerate(numerator.coefficients())))
     numerator = _hat(rho).scale(rho**n) - _hat(rho_bar).scale(rho_bar**n)
     return DualComplex(*(unclear(c, n + j) for j, c in enumerate(numerator.coefficients())))
 

@@ -240,10 +240,13 @@ def _cleared_roots(k: Fraction | int) -> tuple:
     """(rho, rho_bar, unclear): the roots q +/- sqrt(q(p+q)) of x^2 = 2qx + pq, for k = p/q.
 
     They are q alpha and q beta, with int coefficients and radicand at every k,
-    so their powers stay in int arithmetic. unclear(c, m) is the Fraction
-    c / ((rho - rho_bar) q^(m-1)): c times the conjugate of rho - rho_bar, over
-    its int norm and q^(m-1), with one gcd. Since (rho^m - rho_bar^m)/(rho - rho_bar)
-    is the cleared term A_m = q^(m-1) P_m, unclear(rho^m - rho_bar^m, m) is P_m.
+    so their powers stay in int arithmetic. unclear(c, m, j=0) is the Fraction
+    c / ((rho - rho_bar) q^(m-1) p^j): c times the conjugate of rho - rho_bar,
+    over its int norm, q^(m-1) and p^j, with one gcd. Since
+    (rho^m - rho_bar^m)/(rho - rho_bar) is the cleared term A_m = q^(m-1) P_m,
+    unclear(rho^m - rho_bar^m, m) is P_m for m >= 0. Since rho rho_bar = -pq,
+    alpha^-1 = -rho_bar / p, so P_-j = q((-rho_bar)^j - (-rho)^j) / (p^j (rho - rho_bar))
+    is unclear((-rho_bar)^j - (-rho)^j, 0, j), with no negative power of q or p.
     At q = 1 the roots are make_alpha_beta(k). Requires k > 0.
     """
     k = positive_k(k)
@@ -253,8 +256,8 @@ def _cleared_roots(k: Fraction | int) -> tuple:
     conj = (rho - rho_bar).conjugate()
     norm = rationalize((rho - rho_bar) * conj).numerator
 
-    def unclear(c: QuadExt, m: int) -> Fraction:
-        return Fraction(q * rationalize(c * conj).numerator, norm * q**m)
+    def unclear(c: QuadExt, m: int, j: int = 0) -> Fraction:
+        return Fraction(q * rationalize(c * conj).numerator, norm * q**m * p**j)
 
     return rho, rho_bar, unclear
 

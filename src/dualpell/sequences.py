@@ -221,10 +221,14 @@ def seq_binet(k: Fraction | int, n: int) -> Fraction:
     With k = p/q it runs on rho = q alpha and rho_bar = q beta, the roots
     q +/- sqrt(q(p+q)) of x^2 = 2qx + pq, so the powers stay in int arithmetic:
     (rho^n - rho_bar^n) / (rho - rho_bar) is A_n = q^(n-1) P_n, and it and
-    q^(n-1) are divided out at the end, in one Fraction.
+    q^(n-1) are divided out at the end, in one Fraction. At n = -j < 0,
+    (-rho_bar)^j and (-rho)^j take the place of rho^n and rho_bar^n, and p^j
+    joins the denominator of that Fraction (see scalars._cleared_roots).
     """
-    n = exact_index(n, 0)
+    n = exact_index(n)
     rho, rho_bar, unclear = _cleared_roots(k)
+    if n < 0:
+        return unclear((-rho_bar) ** -n - (-rho) ** -n, 0, -n)
     return unclear(rho**n - rho_bar**n, n)
 
 

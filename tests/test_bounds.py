@@ -95,3 +95,18 @@ def test_pell_reads_at_fresh_k_hold_no_family_numbers():
     before = tables().currsize
     dc_number(Family.MODIFIED_K_PELL, Fraction(301, 7919), 3)
     assert tables().currsize - before == 2  # the view's K_PELL table and the MP one
+
+
+def test_the_per_k_memo_holds_under_4_kib_per_k():
+    # one K_PELL number at each of 2,000 k that no other test reads: denominator 7927, and 10**6 + i
+    for ks in ([Fraction(i, 7927) for i in range(1, 2001)], [10**6 + i for i in range(1, 2001)]):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for k in ks:
+                dc_number(Family.K_PELL, k, 5)
+            gc.collect()
+            per_k = tracemalloc.get_traced_memory()[0] / len(ks)
+        finally:
+            tracemalloc.stop()
+        assert per_k < 4096, f"the memo holds {per_k:.0f} bytes per k at k = {ks[0]}"

@@ -270,7 +270,7 @@ FORM_ONLY = {
 
 def unread(w):
     """True while w holds its form alone: no coefficient has been read or built."""
-    return bool(w._form) and not hasattr(w, "_r")
+    return bool(w._form) and w._c is None
 
 
 @pytest.mark.parametrize("make", FORM_ONLY.values(), ids=FORM_ONLY)
@@ -299,6 +299,20 @@ def test_a_value_holding_its_form_alone_matches_its_eager_rebuild(make):
             assert (r, i, d, di) == eager.coefficients()
         case _:
             pytest.fail("a DualComplex pattern did not match")
+
+
+def test_an_int_value_holds_its_form_with_d_1_and_given_coefficients_keep_their_type():
+    value = DualComplex(2, 0, 1, 0)
+    assert value._form == (2, 0, 1, 0, 1) and value._c is None
+    assert all(type(c) is int for c in value.coefficients()) and value._c is None
+    given = DualComplex(Fraction(2), 0, 1, 0)
+    assert given.coefficients() == (2, 0, 1, 0) and type(given.real) is Fraction
+    assert given == value and given._form == value._form
+    assert type(given.real) is Fraction and type(given.imag) is int
+    quad = DualComplex(QuadExt(1, 1, 2), 0, 1, 0)
+    made = [value * value, value - value, -value, value.conjugate(Conjugation.ANTI_DUAL), value * given,
+            value.scale(Fraction(1, 2)), quad, quad * value, *(make() for make in FORM_ONLY.values())]
+    assert all(w._form is not None for w in made)
 
 
 @pytest.mark.parametrize("make", [lambda: DualComplex(1, 2, 3, 4), lambda: dc(Fraction(1, 2), 1, 3, 4),
@@ -404,7 +418,7 @@ def test_chained_operations_match_plain_references(start, steps):
         assert hash(result) == hash(rebuilt) and repr(result) == repr(rebuilt)
         if result._form:
             *numerators, d = result._form
-            assert d > 1 and math.gcd(*numerators, d) == 1
+            assert math.gcd(*numerators, d) == 1
             assert result.coefficients() == tuple(Fraction(n, d) for n in numerators)
         inputs = value.coefficients()
         inputs += other.coefficients() if op in ("+", "-", "*", "/") else (s,) if op == "scale" else ()

@@ -221,17 +221,17 @@ def test_integer_k_closed_forms_stay_int():
                 assert (type(c.a), type(c.b), type(c.d)) == (int, int, int), (k, n, c)
 
 
-def test_integer_k_terms_cache_no_form_and_integral_products_come_back_int():
+def test_integer_k_terms_and_integral_products_hold_a_d_1_form_with_int_coefficients():
     # n = 0 reads Q_{-1}, whose Fraction coefficients take products and sums over Q
     ks = (1, 2, 3)
     sweep(SweepConfig(tuple(CATALOG), ks, (0, 6), (0, 6), (1, 3)))
     for k in ks:
         t = terms(k)
-        assert not any(t.q(j)._form for j in range(16)), k
+        assert all(t.q(j)._form[4] == 1 for j in range(16)), k
         integral = (t.q(-1).scale(k), t.q(-1) * DualComplex(k, 0, 0, 0), t.q(-1) + t.q(-1).scale(k - 1))
         for w in integral:
             assert w == DualComplex(1, 0, k, 2 * k)
-            assert all(type(c) is int for c in w.coefficients()) and w._form is None, (k, w)
+            assert all(type(c) is int for c in w.coefficients()) and w._form == (1, 0, k, 2 * k, 1), (k, w)
 
 
 def test_closed_forms_return_fractions_never_floats():

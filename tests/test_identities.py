@@ -283,12 +283,10 @@ HOLDS_ONLY_WHERE = {
     # The misstated Catalan form has one power of -k too many, so it holds only where P_r = 0.
     IdentityId.G19STATED: lambda k, n, r: r == 0,
 }
-# (exception, the largest n that raises it): g14 sums P_0..P_n, and the
-# Binet routes and seq_prefix_sum reject a negative n.
+# (exception, the largest n that raises it): g14 sums P_0..P_n, and
+# seq_prefix_sum rejects a negative n. The Binet routes hold at every n.
 RAISES_UP_TO = {
     IdentityId.G14: (IndexError, -2),
-    IdentityId.BINET_NUMBER: (ValueError, -1),
-    IdentityId.BINET_QUATERNION: (ValueError, -1),
     IdentityId.PREFIX_SUM: (ValueError, -1),
 }
 K_ENTRIES = tuple(ident for ident, entry in CATALOG.items() if entry.uses_k)

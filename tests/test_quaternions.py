@@ -15,6 +15,7 @@ from dualpell import (
     gamma_coefficient,
     hat_pair,
     make_alpha_beta,
+    pell_term,
     rationalize,
     seq_binet,
     terms,
@@ -110,9 +111,11 @@ def test_binet_on_cleared_roots_matches_binet_on_alpha_beta():
             assert seq_binet(k, n) == reference.real
 
 
-def test_binet_quaternion_rejects_negative_index():
-    with pytest.raises(ValueError):
-        binet_quaternion(1, -1)
+def test_binet_quaternion_at_negative_index_matches_dc_number():
+    for k in (1, 2, 3, Fraction(1, 2), Fraction(22, 7), Fraction(5, 3)):
+        for n in range(-12, 0):
+            assert binet_quaternion(k, n) == dc_number(Family.K_PELL, k, n), (k, n)
+            assert seq_binet(k, n) == pell_term(k, n), (k, n)
 
 
 def test_gamma_fixtures():

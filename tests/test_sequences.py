@@ -142,8 +142,7 @@ def test_binet_matches_recurrence_sampled():
 def test_binet_rejects_bad_arguments():
     with pytest.raises(ValueError):
         seq_binet(0, 3)
-    with pytest.raises(ValueError):
-        seq_binet(1, -1)
+    assert seq_binet(1, -1) == pell_term(1, -1) == 1  # a negative n is in the domain
 
 
 def test_prefix_sum_examples():
