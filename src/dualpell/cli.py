@@ -12,10 +12,10 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .scalars import ASCII_SPACE, parse_rational, positive_k
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .identities import IdentityId
     from .sequences import Family
@@ -169,8 +169,6 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from . import verifier
 
     given = {
@@ -181,9 +179,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "r_range": args.r,
         "max_counterexamples": args.max_counterexamples,
     }
-    config = replace(
-        verifier.default_config(),
-        **{field: value for field, value in given.items() if value is not None},
+    default = verifier.default_config()
+    config = verifier.SweepConfig(
+        **{field: getattr(default, field) if value is None else value for field, value in given.items()}
     )
     reports = verifier.sweep(config)
     if args.out is not None:

@@ -22,18 +22,23 @@ exact reciprocal Fraction(1)/|z1|^2. A quotient w / v is w v* / (v v*) for
 the dual-complex conjugate v*, on one route for every scalar ring: v v* is
 the real |z1|^2, so it is w v* scaled by its reciprocal. No coefficient ever
 becomes a float.
+
+DualComplex and the package's six other records stand on _Record, which
+gives them a dataclass's API without importing dataclasses at start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
-from typing import Any
 
 from .scalars import _EXACT, _SCALARS, parse_rational
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 
 class NonInvertibleError(ZeroDivisionError):
@@ -57,8 +62,86 @@ class Conjugation(Enum):
     ANTI_DUAL = 5
 
 
-@dataclass(unsafe_hash=True)
-class DualComplex:
+class _Fields:
+    """A record's __dataclass_fields__, made on its first read and then cached on the class.
+
+    Whoever reads it (dataclasses.fields, replace, astuple, asdict,
+    is_dataclass) has imported dataclasses already, so a command that never
+    asks does not import it. The fields are those of a throwaway dataclass
+    twin: the names in __match_args__, with the annotations and defaults of
+    the record's __init__.
+    """
+
+    def __get__(self, record: Any, cls: type) -> dict:
+        from dataclasses import dataclass
+
+        init, names = cls.__init__, cls.__match_args__
+        defaults = dict(zip(reversed(names), reversed(init.__defaults__ or ())))
+        annotations = {name: init.__annotations__[name] for name in names}
+        twin = dataclass(type(cls.__name__, (), {"__annotations__": annotations, **defaults}))
+        cls.__dataclass_fields__ = fields = twin.__dataclass_fields__
+        return fields
+
+
+class _Record:
+    """A record shaped like a dataclass, whose fields are the names in __match_args__.
+
+    repr and copy.replace follow the fields, and __dataclass_fields__ is
+    built on demand (see _Fields), so the dataclasses functions treat a
+    record as a dataclass while no module imports dataclasses.
+    """
+
+    __slots__ = ()
+    __dataclass_fields__ = _Fields()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __replace__(self, **changes: Any) -> Any:  # copy.replace, Python 3.13 on
+        return self.__class__(**dict(zip(self.__match_args__, self._values()), **changes))
+
+
+class _FrozenRecord(_Record):
+    """A frozen record: == and hash compare the fields as a tuple, and pickling rebuilds through __init__.
+
+    A subclass lists its fields as both __slots__ and __match_args__, and
+    its own __init__ stores them through _FrozenRecord.__init__. Assignment
+    raises dataclasses.FrozenInstanceError, as on a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: Any) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class DualComplex(_Record):
     """w = real + imag*i + dual*eps + dual_imag*i*eps over int, Fraction or QuadExt.
 
     A float or bool coefficient raises TypeError. The four fields are read-only
@@ -67,10 +150,11 @@ class DualComplex:
     coefficients), and _form holds the canonical cleared form over Q (see
     _q_form), or False while none is known. Neither slot is a field, so repr,
     hash and the constructor never show them, and == answers the same
-    whichever a value holds.
+    whichever a value holds. Pickling and copying keep both slots as they are.
     """
 
     __slots__ = ("_c", "_form")
+    __match_args__ = ("real", "imag", "dual", "dual_imag")
 
     real: Any = property(lambda w: w.coefficients()[0])
     imag: Any = property(lambda w: w.coefficients()[1])
@@ -94,6 +178,9 @@ class DualComplex:
         if form and other_form:
             return form == other_form  # canonical, so equal values have equal forms
         return self.coefficients() == other.coefficients()
+
+    def __hash__(self) -> int:
+        return hash(self.coefficients())
 
     def complex_part(self) -> tuple:
         """z1 of the split w = z1 + eps*z2."""

@@ -19,19 +19,19 @@ always be replayed exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Mapping
 
 # Unused here: bench/spans.py reads verifier from sys.modules after importing this.
 from . import verifier  # noqa: F401
-from .dualcomplex import DC_EPS, DC_I, DC_IEPS, Conjugation, DualComplex
+from .dualcomplex import DC_EPS, DC_I, DC_IEPS, Conjugation, DualComplex, _FrozenRecord
 # Stays at the top: bench/spans.py reads quaternions from sys.modules after importing this.
 from .quaternions import binet_quaternion
 from .scalars import ASCII_SPACE, exact_index, positive_k
 from .sequences import Family, Terms, seq_binet, seq_prefix_sum
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import random
 
@@ -44,14 +44,16 @@ def _nonneg(*values: int) -> bool:
     return all(value >= 0 for value in values)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_FrozenRecord):
     """``sides(t, *values)`` and ``pre(*values)`` over ``params``, in that order."""
 
-    sides: Sides
-    params: tuple[str, ...] = ("n",)
-    pre: Callable[..., bool] = _nonneg
-    uses_k: bool = True
+    __slots__ = __match_args__ = ("sides", "params", "pre", "uses_k")
+
+    def __init__(
+        self, sides: Sides, params: tuple[str, ...] = ("n",), pre: Callable[..., bool] = _nonneg,
+        uses_k: bool = True,
+    ) -> None:
+        super().__init__(sides, params, pre, uses_k)
 
 
 def _dc(one, i=0, eps=0, ieps=0) -> DualComplex:

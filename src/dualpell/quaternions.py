@@ -7,22 +7,20 @@ value can always be rebuilt and cross-checked from its origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .dualcomplex import DualComplex
+from .dualcomplex import DualComplex, _FrozenRecord
 from .scalars import QuadExt, _cleared_roots, exact_index, make_alpha_beta, rationalize
 from .sequences import Family, dc_number, terms
 
 
-@dataclass(frozen=True)
-class PellQuaternion:
+class PellQuaternion(_FrozenRecord):
     """Four consecutive family terms on the basis {1, i, eps, i*eps}."""
 
-    value: DualComplex
-    family: Family
-    k: Fraction | int
-    n: int
+    __slots__ = __match_args__ = ("value", "family", "k", "n")
+
+    def __init__(self, value: DualComplex, family: Family, k: Fraction | int, n: int) -> None:
+        super().__init__(value, family, k, n)
 
     def scalar_part(self) -> Fraction | int:
         return self.value.real

@@ -18,11 +18,10 @@ come from one rule, and its dual-complex numbers sit in one table per (family, k
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .dualcomplex import DualComplex
+from .dualcomplex import DualComplex, _FrozenRecord
 from .scalars import ASCII_SPACE, _cleared_roots, exact_index, positive_k
 
 
@@ -58,16 +57,13 @@ def _checked_family(family: Family) -> Family:
     return family
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(_FrozenRecord):
     """A concrete sequence: the family plus its exact positive parameter k."""
 
-    family: Family
-    k: Fraction | int
+    __slots__ = __match_args__ = ("family", "k")
 
-    def __post_init__(self) -> None:
-        _checked_family(self.family)
-        object.__setattr__(self, "k", positive_k(self.k))
+    def __init__(self, family: Family, k: Fraction | int) -> None:
+        super().__init__(_checked_family(family), positive_k(k))
 
 
 def _cleared(p: int, q: int, lo: int, count: int):

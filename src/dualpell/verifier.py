@@ -14,16 +14,18 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
 
+from .dualcomplex import _FrozenRecord
 from .scalars import exact_index, positive_k
 
 # `identities` and `sequences` are imported where they are used, so a CLI
 # command that never sweeps does not load the catalog.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .dualcomplex import DualComplex
     from .identities import IdentityId
 
@@ -34,16 +36,17 @@ class Verdict(Enum):
     FAILS = "fails"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_FrozenRecord):
     """The grid of one sweep: identities, k values, inclusive index ranges."""
 
-    ids: tuple[IdentityId, ...]
-    k_values: tuple[Fraction | int, ...]
-    n_range: tuple[int, int]
-    m_range: tuple[int, int]
-    r_range: tuple[int, int]
-    max_counterexamples: int = 5
+    __slots__ = __match_args__ = ("ids", "k_values", "n_range", "m_range", "r_range", "max_counterexamples")
+
+    def __init__(
+        self, ids: tuple[IdentityId, ...], k_values: tuple[Fraction | int, ...],
+        n_range: tuple[int, int], m_range: tuple[int, int], r_range: tuple[int, int],
+        max_counterexamples: int = 5,
+    ) -> None:
+        super().__init__(ids, k_values, n_range, m_range, r_range, max_counterexamples)
 
 
 def default_config() -> SweepConfig:
@@ -58,26 +61,27 @@ def default_config() -> SweepConfig:
     )
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_FrozenRecord):
     """One failing tuple: its bindings and both sides, or the error it raised."""
 
-    bindings: dict
-    lhs: DualComplex | None
-    rhs: DualComplex | None
-    error: str | None = None
+    __slots__ = __match_args__ = ("bindings", "lhs", "rhs", "error")
+
+    def __init__(
+        self, bindings: dict, lhs: DualComplex | None, rhs: DualComplex | None, error: str | None = None
+    ) -> None:
+        super().__init__(bindings, lhs, rhs, error)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_FrozenRecord):
     """The verdict of one identity over its grid, with its first counterexamples."""
 
-    id: IdentityId
-    grid_size: int
-    skipped: int
-    verdict: Verdict
-    counterexamples: tuple[Counterexample, ...]
-    elapsed: float
+    __slots__ = __match_args__ = ("id", "grid_size", "skipped", "verdict", "counterexamples", "elapsed")
+
+    def __init__(
+        self, id: IdentityId, grid_size: int, skipped: int, verdict: Verdict,
+        counterexamples: tuple[Counterexample, ...], elapsed: float,
+    ) -> None:
+        super().__init__(id, grid_size, skipped, verdict, counterexamples, elapsed)
 
 
 def check_one(
@@ -119,8 +123,7 @@ def _normalize(config: SweepConfig) -> SweepConfig:
         except (TypeError, ValueError):
             raise ValueError(f"{field} must be a (lo, hi) pair, got {bounds!r}") from None
         ranges[field] = (exact_index(lo, name=field), exact_index(hi, name=field))
-    return replace(
-        config,
+    return SweepConfig(
         ids=tuple(sorted(set(items["ids"]), key=list(CATALOG).index)),
         k_values=tuple(sorted(k_values)),
         max_counterexamples=exact_index(config.max_counterexamples, 0, "max_counterexamples"),

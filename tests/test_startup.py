@@ -29,9 +29,9 @@ def fresh(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def modules_after(code: str) -> set[str]:
-    """Every module loaded once ``code`` has run in a fresh interpreter."""
-    done = fresh("-c", code + "\nimport sys\nprint(*sorted(sys.modules))")
+def modules_after(code: str, *flags: str) -> set[str]:
+    """Every module loaded once ``code`` has run in a fresh interpreter started with ``flags``."""
+    done = fresh(*flags, "-c", code + "\nimport sys\nprint(*sorted(sys.modules))")
     assert done.returncode == 0, done.stderr[-2000:]
     return set(done.stdout.splitlines()[-1].split())
 
@@ -52,17 +52,21 @@ def test_import_loads_no_submodule_and_seq_loads_no_catalog():
     assert seq == {f"dualpell.{m}" for m in ("scalars", "dualcomplex", "sequences", "cli")}
 
 
-PARSER_PATHS = {
-    "build_parser": "import dualpell.cli\ndualpell.cli.build_parser()",
-    # What `python -m dualpell --help` runs, with the module list printed after it.
-    "help": (
+def run_as_main(argv: list[str]) -> str:
+    """Code that runs what `python -m dualpell *argv` runs, so the module list can be printed after it."""
+    return (
         "import runpy, sys\n"
-        "sys.argv[1:] = ['--help']\n"
+        f"sys.argv[1:] = {argv!r}\n"
         "try:\n"
         "    runpy.run_module('dualpell', run_name='__main__', alter_sys=True)\n"
         "except SystemExit:\n"
         "    pass"
-    ),
+    )
+
+
+PARSER_PATHS = {
+    "build_parser": "import dualpell.cli\ndualpell.cli.build_parser()",
+    "help": run_as_main(["--help"]),
 }
 
 
@@ -110,6 +114,26 @@ COMMANDS = {
     "sweep-help": ["sweep", "--help"],
     "usage-error": ["identity", "--id", "nope", "--k", "1", "--n", "1"],
 }
+
+
+# The commands that compute. Each loads dualcomplex and some of the seven records.
+COMPUTING = {name: run_as_main(COMMANDS[name]) for name in ("seq", "quat", "identity", "binet", "sweep")}
+
+
+@pytest.mark.parametrize("code", COMPUTING.values(), ids=COMPUTING.keys())
+def test_computing_commands_load_no_dataclasses(code):
+    # Against a bare interpreter's modules, as on the parser path.
+    bare = modules_after("pass")
+    assert {"dataclasses", "inspect"} & modules_after(code) <= bare
+
+
+START_UPS = {**PARSER_PATHS, **COMPUTING}
+
+
+@pytest.mark.parametrize("code", START_UPS.values(), ids=START_UPS.keys())
+def test_start_up_without_site_loads_no_typing_or_dataclasses(code):
+    # -S: no site hook can preload these and so hide a module that the package pulls in.
+    assert {"typing", "dataclasses", "inspect"} & modules_after(code, "-S") == set()
 
 
 @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
