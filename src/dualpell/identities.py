@@ -208,15 +208,34 @@ def _p_number(t, j):
     return _dc(t.p(j))
 
 
+def _dot(a, b, c, d, sign=1):
+    """a*b + sign*c*d, an int if all four are; else one Fraction of their int parts, normalized once."""
+    if int is type(a) is type(b) is type(c) is type(d):
+        return a * b + sign * c * d
+    den, other = a.denominator * b.denominator, c.denominator * d.denominator
+    ab, cd = a.numerator * b.numerator, sign * c.numerator * d.numerator
+    return Fraction(ab + cd, den) if den == other else Fraction(ab * other + cd * den, den * other)
+
+
+def _k_p_before(t, n):
+    return t.k * t.p(n - 1)
+
+
+# At integer k these two left sides stay the plain expression: _dot's type tests cost more there.
 def _sides_helper_honsberger(t, n, m):
-    lhs = _dc(t.k * t.p(n - 1) * t.p(m) + t.p(n) * t.p(m + 1))
-    return lhs, t.once(_p_number, n + m)
+    if type(t.k) is int:
+        lhs = t.k * t.p(n - 1) * t.p(m) + t.p(n) * t.p(m + 1)
+    else:
+        lhs = _dot(t.once(_k_p_before, n), t.p(m), t.p(n), t.p(m + 1))
+    return _dc(lhs), t.once(_p_number, n + m)
 
 
 def _vajda_p(t, n, i, j, sign=1):
     """sign times both sides of P_{n+i}P_{n+j} - P_nP_{n+i+j} = (-k)^n P_i P_j."""
-    a, b = t.p(n + i) * t.p(n + j), t.p(n) * t.p(n + i + j)
-    lhs = a - b if sign == 1 else b - a
+    a, b, c, d = t.p(n + i), t.p(n + j), t.p(n), t.p(n + i + j)
+    if sign != 1:
+        a, b, c, d = c, d, a, b
+    lhs = a * b - c * d if type(t.k) is int else _dot(a, b, c, d, -1)
     return _dc(lhs), _dc(t.once(_neg_k_pow, n) * t.once(_signed_p_product, (i, j, sign)))
 
 

@@ -145,14 +145,16 @@ class Terms:
     p(j) is P_j, d(family, j) the family's dual-complex number at j and q(j)
     that number for K_PELL; each is read off row's one family rule, built once
     per (family, j) on the first read of its family and shared by every view
-    of k, as is gamma, (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps.
+    of k, as is gamma, (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps. A view
+    keeps each family table it reads in a slot (q, _pl, _mp), so a warm d
+    read does not look the table up by k again.
     row(family, lo, count) is a stretch of terms, built on every call. qq(a, b)
     is Q_a Q_b, built once per unordered pair, and once(fn, key) is
     fn(self, key), built once per (fn, key); both are held by this view alone,
     so an evaluator that makes its own Terms(k) drops them with it.
     """
 
-    __slots__ = ("k", "p", "q", "gamma", "_qq", "_once")
+    __slots__ = ("k", "p", "q", "_pl", "_mp", "gamma", "_qq", "_once")
 
     def __init__(self, k: Fraction | int) -> None:
         self.k = k
@@ -177,7 +179,16 @@ class Terms:
         return _family_row(family, self.k, lo, count)
 
     def d(self, family: Family, j: int) -> DualComplex:
-        return _numbers(family, self.k)(j)
+        slot = _TABLE_SLOTS[family]
+        try:
+            table = getattr(self, slot)
+        except AttributeError:  # the family's first read on this view: keep its table
+            table = _numbers(family, self.k)
+            setattr(self, slot, table)
+        return table(j)
+
+
+_TABLE_SLOTS = {Family.K_PELL: "q", Family.K_PELL_LUCAS: "_pl", Family.MODIFIED_K_PELL: "_mp"}
 
 
 _views = functools.cache(Terms)  # the shared view of each checked k

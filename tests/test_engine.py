@@ -26,6 +26,7 @@ from dualpell import (
     seq_binet,
     seq_row,
     seq_term,
+    sequences,
     sweep,
     terms,
 )
@@ -98,6 +99,19 @@ def test_family_numbers_are_built_from_the_rule_not_from_q():
         for j in (-3, 0, 5):
             assert t.d(family, j) == DualComplex(*t.row(family, j, 4))
     assert not t.q.__self__  # f28-f31 compare these numbers with q, so q must stay unread
+
+
+def test_a_view_keeps_each_family_table_it_has_read():
+    tables = sequences._numbers.cache_info
+    for k in (Fraction(19, 7907), 7907):  # k no other test reads
+        t = Terms(k)
+        first = {family: t.d(family, 2) for family in Family}
+        hits = tables().hits
+        for family in Family:
+            for j in (-2, 2, 9):
+                assert t.d(family, j) == DualComplex(*t.row(family, j, 4))
+            assert t.d(family, 2) is first[family]
+        assert tables().hits == hits  # no warm read looked its table up by k
 
 
 @SEEDED

@@ -20,7 +20,7 @@ from dualpell import (
     identity_sides,
     required_bindings,
 )
-from dualpell.identities import _vajda, _vajda_p
+from dualpell.identities import _dot, _vajda, _vajda_p
 from dualpell.scalars import positive_k
 from dualpell.sequences import Terms
 from support import SEEDED, sides_digests
@@ -269,6 +269,35 @@ def test_vajda_holds_at_every_index(k, n, i, j, sign):
     t = Terms(positive_k(k))
     assert_exact_and_equal(*_vajda(t, n, i, j, sign))
     assert_exact_and_equal(*_vajda_p(t, n, i, j, sign))
+
+
+# Fractions with small denominators often share one, and Fraction(n, 1) is
+# not an int: P_-1 at k = 1 is Fraction(1).
+scalars = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 6)),
+    st.sampled_from((0, Fraction(0), Fraction(1), Fraction(-1), -1)),
+)
+
+
+@SEEDED
+@given(scalars, scalars, scalars, scalars, st.sampled_from((1, -1)))
+def test_dot_is_the_plain_expression_with_its_exact_type(a, b, c, d, sign):
+    plain = a * b + sign * c * d
+    value = _dot(a, b, c, d, sign)
+    assert value == plain and type(value) is type(plain)
+
+
+@SEEDED
+@given(ks, st.integers(-6, 9), st.integers(-6, 9), st.integers(-6, 9))
+def test_vajda_p_at_sign_minus_one_negates_both_sides_with_their_types(k, n, i, j):
+    t = Terms(positive_k(k))
+    lhs, rhs = _vajda_p(t, n, i, j, 1)
+    neg_lhs, neg_rhs = _vajda_p(t, n, i, j, -1)
+    plain = t.p(n) * t.p(n + i + j) - t.p(n + i) * t.p(n + j)
+    assert neg_lhs.real == plain and type(neg_lhs.real) is type(plain)
+    assert (neg_lhs, neg_rhs) == (-lhs, -rhs)
+    assert type(lhs.real) is type(plain)
 
 
 # What each k-entry does on the tuples its pre rejects. Every entry not named
