@@ -10,12 +10,12 @@ int and Fraction coefficients may mix. Over Q, that is with every coefficient
 in scalars._EXACT (int or Fraction), +, -, unary -, scale, *, == and the
 conjugates run in int on each value's canonical cleared form
 (n1, n2, n3, n4, d): the coefficients are nj / d with d >= 1 and
-gcd(n1, n2, n3, n4, d) = 1. A value holds its coefficients, its form, or
-both. An all-int value holds its form alone, with d = 1. A value given a
-Fraction keeps its coefficients as given, and caches its form on its first
-use over Q. A kernel's result holds its form alone: its coefficients are
-read off the form, as plain ints when d = 1, so integral results come back
-with int coefficients. With a QuadExt coefficient the same formulas run on
+gcd(n1, n2, n3, n4, d) = 1. Every value over Q is cleared once, when it is
+made. Four ints (d = 1) or four Fractions over d > 1 are held as the form
+alone; any other value over Q keeps its coefficients as given beside it. A
+kernel's result holds its form alone: its coefficients are read off the
+form, as plain ints when d = 1, so integral results come back with int
+coefficients. With a QuadExt coefficient the same formulas run on
 the coefficients. Over Q the dual-complex conjugate of (a, b, c, e)/D is
 (aN, -bN, x, y)/(D N) with N = a^2 + b^2; over a QuadExt it scales by the
 exact reciprocal Fraction(1)/|z1|^2. A quotient w / v is w v* / (v v*) for
@@ -147,10 +147,11 @@ class DualComplex(_Record):
     A float or bool coefficient raises TypeError. The four fields are read-only
     properties over two private slots, and never change: _c holds the four
     coefficients, or None while the value holds its form alone (see
-    coefficients), and _form holds the canonical cleared form over Q (see
-    _q_form), or False while none is known. Neither slot is a field, so repr,
-    hash and the constructor never show them, and == answers the same
-    whichever a value holds. Pickling and copying keep both slots as they are.
+    coefficients), and _form holds the canonical cleared form, made with the
+    value over Q, or False with a QuadExt coefficient. Neither slot is a
+    field, so repr, hash and the constructor never show them, and == answers
+    the same whichever a value holds. Pickling and copying keep both slots as
+    they are.
     """
 
     __slots__ = ("_c", "_form")
@@ -162,10 +163,18 @@ class DualComplex(_Record):
     dual_imag: Any = property(lambda w: w.coefficients()[3])
 
     def __init__(self, real: Any, imag: Any, dual: Any, dual_imag: Any) -> None:
-        if type(real) is int and type(imag) is int and type(dual) is int and type(dual_imag) is int:
+        t1, t2, t3, t4 = type(real), type(imag), type(dual), type(dual_imag)
+        if t1 is int and t2 is int and t3 is int and t4 is int:
             self._c, self._form = None, (real, imag, dual, dual_imag, 1)
-        elif (type(real) in _SCALARS and type(imag) in _SCALARS
-                and type(dual) in _SCALARS and type(dual_imag) in _SCALARS):
+        elif t1 in _EXACT and t2 in _EXACT and t3 in _EXACT and t4 in _EXACT:
+            # cleared over the lcm d of the reduced denominators; d > 1 with one type is four
+            # Fractions, which the form reads back as given, so only other values keep theirs
+            d1, d2, d3, d4 = real.denominator, imag.denominator, dual.denominator, dual_imag.denominator
+            d = lcm(d1, d2, d3, d4)
+            self._form = (real.numerator * (d // d1), imag.numerator * (d // d2),
+                          dual.numerator * (d // d3), dual_imag.numerator * (d // d4), d)
+            self._c = None if d != 1 and t1 is t2 is t3 is t4 else (real, imag, dual, dual_imag)
+        elif t1 in _SCALARS and t2 in _SCALARS and t3 in _SCALARS and t4 in _SCALARS:
             self._c, self._form = (real, imag, dual, dual_imag), False
         else:
             shown = ", ".join(type(c).__name__ for c in (real, imag, dual, dual_imag))
@@ -174,7 +183,7 @@ class DualComplex(_Record):
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not DualComplex:
             return NotImplemented
-        form, other_form = self._form or _q_form(self), other._form or _q_form(other)
+        form, other_form = self._form, other._form
         if form and other_form:
             return form == other_form  # canonical, so equal values have equal forms
         return self.coefficients() == other.coefficients()
@@ -205,7 +214,7 @@ class DualComplex(_Record):
     def __add__(self, other: "DualComplex") -> "DualComplex":
         if not isinstance(other, DualComplex):
             return NotImplemented
-        form, other_form = self._form or _q_form(self), other._form or _q_form(other)
+        form, other_form = self._form, other._form
         if form and other_form:
             return _sum(form, other_form, add)
         return DualComplex(*map(add, self.coefficients(), other.coefficients()))
@@ -213,7 +222,7 @@ class DualComplex(_Record):
     def __sub__(self, other: "DualComplex") -> "DualComplex":
         if not isinstance(other, DualComplex):
             return NotImplemented
-        form, other_form = self._form or _q_form(self), other._form or _q_form(other)
+        form, other_form = self._form, other._form
         if form and other_form:
             return _sum(form, other_form, sub)
         return DualComplex(*map(sub, self.coefficients(), other.coefficients()))
@@ -231,7 +240,7 @@ class DualComplex(_Record):
             raise TypeError(f"cannot scale a DualComplex by {kind.__name__}")
         if kind is Fraction and s.denominator == 1:
             s, kind = s.numerator, int
-        form = kind in _EXACT and (self._form or _q_form(self))
+        form = kind in _EXACT and self._form
         if form:
             n1, n2, n3, n4, d = form
             p = s.numerator
@@ -242,7 +251,7 @@ class DualComplex(_Record):
         if not isinstance(other, DualComplex):
             return self.scale(other)
         # Over Q the formula runs on the operands' cleared forms, in int.
-        form, other_form = self._form or _q_form(self), other._form or _q_form(other)
+        form, other_form = self._form, other._form
         if form and other_form:
             a1, a2, a3, a4, da = form
             b1, b2, b3, b4, db = other_form
@@ -266,7 +275,7 @@ class DualComplex(_Record):
 
     def conjugate(self, kind: Conjugation) -> "DualComplex":
         if kind is not Conjugation.DUAL_COMPLEX:
-            # a signed permutation of a held form's numerators, or else of the coefficients
+            # a signed permutation of the form's numerators, or of a QuadExt value's coefficients
             move, form = _MOVES[kind], self._form
             if not form:
                 return DualComplex(*move(*self._c))
@@ -275,7 +284,7 @@ class DualComplex(_Record):
             return w
         # Over Q on the cleared form (a, b, c, e)/D, so the result is
         # (aN, -bN, x, y)/(D N) with N = |Z1|^2 for Z1 = D z1.
-        form = self._form or _q_form(self)
+        form = self._form
         if form:
             a, b, c, e, den = form
             x, y, n = _conjugate_eps(a, b, c, e)
@@ -307,24 +316,6 @@ class DualComplex(_Record):
     def render(self) -> str:
         r, i, d, di = self.coefficients()
         return f"{r} + {i}·i + {d}·eps + {di}·i·eps"
-
-
-def _q_form(w: DualComplex) -> tuple | None:
-    """w's canonical cleared form (n1, n2, n3, n4, d) over Q, or None for a QuadExt coefficient.
-
-    A value without a form holds its coefficients as given; the first read
-    here clears them over the lcm d of their denominators and caches the
-    form, d = 1 included.
-    """
-    form = w._form
-    if form is False:
-        c1, c2, c3, c4 = w._c
-        if not (type(c1) in _EXACT and type(c2) in _EXACT and type(c3) in _EXACT and type(c4) in _EXACT):
-            return None
-        d = lcm(c1.denominator, c2.denominator, c3.denominator, c4.denominator)
-        form = w._form = (c1.numerator * (d // c1.denominator), c2.numerator * (d // c2.denominator),
-                          c3.numerator * (d // c3.denominator), c4.numerator * (d // c4.denominator), d)
-    return form
 
 
 def _over(n1: int, n2: int, n3: int, n4: int, d: int) -> DualComplex:

@@ -176,10 +176,13 @@ class Terms:
 
     def row(self, family: Family, lo: int, count: int) -> tuple[Fraction | int, ...]:
         """S_lo ... S_{lo+count-1}: an int for integer k and index >= 0, else a Fraction."""
-        return _family_row(family, self.k, lo, count)
+        return _family_row(_checked_family(family), self.k, lo, count)
 
     def d(self, family: Family, j: int) -> DualComplex:
-        slot = _TABLE_SLOTS[family]
+        try:
+            slot = _TABLE_SLOTS[family]
+        except (KeyError, TypeError):  # not a Family member, an unhashable value included
+            raise ValueError(f"family must be a Family, got {family!r}") from None
         try:
             table = getattr(self, slot)
         except AttributeError:  # the family's first read on this view: keep its table
@@ -203,7 +206,6 @@ def seq_row(
     family: Family, k: Fraction | int, lo: int, count: int
 ) -> tuple[Fraction | int, ...]:
     """The terms S_lo ... S_{lo+count-1} of the family at k, read through terms(k)."""
-    family = _checked_family(family)
     return terms(k).row(family, exact_index(lo, name="lo"), exact_index(count, 0, "count"))
 
 
@@ -248,4 +250,4 @@ def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:
 
 def dc_number(family: Family, k: Fraction | int, n: int) -> DualComplex:
     """Dual-complex number S_n + i S_{n+1} + eps S_{n+2} + i eps S_{n+3}."""
-    return terms(k).d(_checked_family(family), exact_index(n))
+    return terms(k).d(family, exact_index(n))

@@ -239,8 +239,11 @@ def test_repr_hash_and_equality_contract():
 VALUES = [DualComplex(1, Fraction(-2, 3), QuadExt(1, 2, 3), 4), QuadExt(Fraction(1, 2), -3, 5)]
 
 
-@pytest.mark.parametrize("value", VALUES + [dc(1, 2, 3, 4).scale(Fraction(1, 6))],
-                         ids=["DualComplex", "QuadExt", "DualComplex over Q with its form"])
+@pytest.mark.parametrize("value", VALUES + [dc(1, 2, 3, 4).scale(Fraction(1, 6)),
+                                             DualComplex(Fraction(1, 2), Fraction(3), Fraction(0), Fraction(-5, 4)),
+                                             DualComplex(Fraction(2), 0, Fraction(3), 1)],
+                         ids=["DualComplex", "QuadExt", "DualComplex over Q with its form",
+                              "given Fractions over d > 1", "given coefficients over d = 1"])
 def test_pickle_and_copy_round_trip(value):
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         again = pickle.loads(pickle.dumps(value, protocol))
@@ -248,6 +251,7 @@ def test_pickle_and_copy_round_trip(value):
     for again in (copy.copy(value), copy.deepcopy(value)):
         assert type(again) is type(value) and again == value
         assert getattr(again, "_form", None) == getattr(value, "_form", None)
+        assert getattr(again, "_c", None) == getattr(value, "_c", None)
 
 
 @pytest.mark.parametrize("value", VALUES, ids=["DualComplex", "QuadExt"])
@@ -256,7 +260,7 @@ def test_unknown_attribute_rejected(value):
         value.extra = 1
 
 
-# results of the kernels over Q, each of which holds its cleared form alone
+# values over Q that hold their cleared form alone: the kernels' results, and four Fractions over d > 1
 FORM_ONLY = {
     "+": lambda: dc(Fraction(1, 2), 1) + dc(0, Fraction(1, 3), 5, -7),
     "-": lambda: dc(3, Fraction(5, 4)) - dc(0, 0, Fraction(-1, 6)),
@@ -265,6 +269,7 @@ FORM_ONLY = {
     "/": lambda: DualComplex(1, 2, 3, 4) / DualComplex(3, 1, 0, 5),
     "dual-complex conjugate": lambda: dc(Fraction(1, 2), 1, 3, 4).conjugate(Conjugation.DUAL_COMPLEX),
     "anti-dual conjugate": lambda: dc(1, 2, 3, 4).scale(Fraction(1, 6)).conjugate(Conjugation.ANTI_DUAL),
+    "given Fractions over d > 1": lambda: DualComplex(Fraction(1, 2), Fraction(3), Fraction(0), Fraction(-5, 4)),
 }
 
 
@@ -315,6 +320,37 @@ def test_an_int_value_holds_its_form_with_d_1_and_given_coefficients_keep_their_
     assert all(w._form is not None for w in made)
 
 
+@pytest.mark.parametrize("coefficients, form, kept", [
+    ((Fraction(1, 2), Fraction(3), Fraction(0), Fraction(-5, 4)), (2, 12, 0, -5, 4), False),
+    ((Fraction(1, 2), 3, Fraction(0), Fraction(-5, 4)), (2, 12, 0, -5, 4), True),
+    ((Fraction(2), Fraction(0), Fraction(3), Fraction(1)), (2, 0, 3, 1, 1), True),
+    ((Fraction(2), 0, Fraction(3), 1), (2, 0, 3, 1, 1), True),
+    ((2, 0, 3, 1), (2, 0, 3, 1, 1), False),
+], ids=["four Fractions over d > 1", "an int among them", "four Fractions over d = 1", "mixed over d = 1",
+        "four ints"])
+def test_a_value_over_q_is_cleared_when_made(coefficients, form, kept):
+    """Every value over Q holds its form from the start; only a value whose form reads back other types keeps them."""
+    w = DualComplex(*coefficients)
+    assert w._form == form
+    assert (w._c is not None) == kept
+    if kept:
+        assert w._c == coefficients and all(type(a) is type(b) for a, b in zip(w._c, coefficients))
+    read = w.coefficients()
+    assert read == coefficients and all(type(a) is type(b) for a, b in zip(read, coefficients))
+    assert DualComplex(QuadExt(1, 1, 2), *coefficients[1:])._form is False
+
+
+@pytest.mark.parametrize("coefficients", [(Fraction(2), 0, Fraction(3), 1),
+                                          (Fraction(1, 2), Fraction(3), 0, Fraction(-5, 4))])
+@pytest.mark.parametrize("kind", [Conjugation.COMPLEX, Conjugation.DUAL, Conjugation.COUPLED,
+                                  Conjugation.ANTI_DUAL])
+def test_a_signed_conjugate_does_not_depend_on_an_earlier_comparison(coefficients, kind):
+    w = DualComplex(*coefficients)
+    before = repr(w.conjugate(kind))
+    assert w == w
+    assert repr(w.conjugate(kind)) == before == repr(DualComplex(*coefficients).conjugate(kind))
+
+
 @pytest.mark.parametrize("make", [lambda: DualComplex(1, 2, 3, 4), lambda: dc(Fraction(1, 2), 1, 3, 4),
                                   FORM_ONLY["*"]], ids=["int", "Fraction", "form alone"])
 def test_fields_are_read_only(make):
@@ -358,8 +394,6 @@ operands = st.sampled_from(sorted(COEFFICIENTS)).flatmap(
 )
 scalars = st.one_of(small_ints, small_fractions, st.just(QuadExt(1, 1, 2)))
 OPS = ("+", "-", "neg", "scale", "*", "/", *Conjugation)
-# signed permutations of the slots, which keep each coefficient's type
-MOVES = ("neg", Conjugation.COMPLEX, Conjugation.DUAL, Conjugation.COUPLED, Conjugation.ANTI_DUAL)
 
 
 def reference_conjugate(w, kind):
@@ -422,7 +456,7 @@ def test_chained_operations_match_plain_references(start, steps):
             assert result.coefficients() == tuple(Fraction(n, d) for n in numerators)
         inputs = value.coefficients()
         inputs += other.coefficients() if op in ("+", "-", "*", "/") else (s,) if op == "scale" else ()
-        if op not in MOVES and QuadExt not in map(type, inputs):
+        if QuadExt not in map(type, inputs):
             if all(c.denominator == 1 for c in result.coefficients()):
                 assert all(type(c) is int for c in result.coefficients()), (op, result)
         value, plain = result, expected
@@ -440,11 +474,11 @@ def test_unread_results_feed_the_next_kernel(start, steps):
         divisor = plain_other if op == "/" else plain
         if op in ("/", Conjugation.DUAL_COMPLEX) and divisor.has_zero_complex_part():
             op = "+"
+        inputs = plain.coefficients()
+        inputs += plain_other.coefficients() if op in ("+", "-", "*", "/") else (s,) if op == "scale" else ()
         was_unread = [w for w in (value, other) if unread(w)]
         result = apply(op, value, other, s)
         assert type(result) is DualComplex
-        inputs = plain.coefficients()
-        inputs += plain_other.coefficients() if op in ("+", "-", "*", "/") else (s,) if op == "scale" else ()
         if QuadExt not in map(type, inputs):
             # over Q the kernels read forms; only the QuadExt route reads coefficients
             assert all(unread(w) for w in was_unread), op

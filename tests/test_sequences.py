@@ -16,6 +16,7 @@ from dualpell import (
     seq_row,
     seq_term,
     seq_term_fast,
+    terms,
 )
 from support import naive_pell_row
 
@@ -208,6 +209,15 @@ def test_dc_number_rejects_a_family_that_is_not_a_family(family):
     with pytest.raises(ValueError, match="family must be a Family"):
         dc_number(family, k, 1)
     assert sequences._numbers.cache_info().currsize - before <= 1  # at most its K_PELL table
+
+
+@pytest.mark.parametrize("family", NOT_A_FAMILY + [[]], ids=repr)
+def test_the_term_view_rejects_a_family_that_is_not_a_family(family):
+    t = terms(2)
+    with pytest.raises(ValueError, match="family must be a Family"):
+        t.row(family, 0, 4)
+    with pytest.raises(ValueError, match="family must be a Family"):
+        t.d(family, 0)
 
 
 @pytest.mark.parametrize("family", NOT_A_FAMILY)
