@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dualcomplex import DualComplex, _FrozenRecord
-from .scalars import QuadExt, _cleared_roots, exact_index, make_alpha_beta, rationalize
+from .scalars import QuadExt, _cleared_roots, make_alpha_beta, rationalize
 from .sequences import Family, dc_number, terms
 
 
@@ -54,24 +54,18 @@ def hat_pair(k: Fraction | int) -> tuple[DualComplex, DualComplex]:
 
 
 def binet_quaternion(k: Fraction | int, n: int) -> DualComplex:
-    """Closed form (hat_alpha * alpha^n - hat_beta * beta^n) / (alpha - beta).
+    """Closed form (hat_alpha * alpha^n - hat_beta * beta^n) / (alpha - beta), any integer n.
 
     Evaluated exactly over quadratic scalars and collapsed coefficient-wise
-    to Fractions; equals build_quaternion(K_PELL, k, n).value. With k = p/q
-    it runs on rho = q alpha and rho_bar = q beta, the roots q +/- sqrt(q(p+q))
-    of x^2 = 2qx + pq, in int arithmetic: slot j of the quotient is
-    A_{n+j} = q^(n+j-1) P_{n+j}, and rho - rho_bar and q^(n+j-1) are divided
-    out at the end, in one Fraction per slot. At n < 0 the powers are
-    (-rho_bar)^-n and (-rho)^-n, and slot j is q^j p^-n (alpha^(n+j) - beta^(n+j)),
-    so q^j p^-n is divided out instead (see scalars._cleared_roots).
+    to Fractions; equals build_quaternion(K_PELL, k, n).value. It runs on the
+    cleared roots rho, rho_bar = q +/- sqrt(q(p+q)) of k = p/q and their powers
+    a, b at n, in int arithmetic: slot j of hat(rho) a - hat(rho_bar) b is
+    cleared P_{n+j}, divided once at the end (the power rule is
+    scalars._cleared_roots).
     """
-    n = exact_index(n)
-    rho, rho_bar, unclear = _cleared_roots(k)
-    if n < 0:
-        numerator = _hat(rho).scale((-rho_bar) ** -n) - _hat(rho_bar).scale((-rho) ** -n)
-        return DualComplex(*(unclear(c, j, -n) for j, c in enumerate(numerator.coefficients())))
-    numerator = _hat(rho).scale(rho**n) - _hat(rho_bar).scale(rho_bar**n)
-    return DualComplex(*(unclear(c, n + j) for j, c in enumerate(numerator.coefficients())))
+    rho, rho_bar, a, b, unclear = _cleared_roots(k, n)
+    numerator = _hat(rho).scale(a) - _hat(rho_bar).scale(b)
+    return DualComplex(*(unclear(c, j) for j, c in enumerate(numerator.coefficients())))
 
 
 def gamma_closed(k: Fraction | int) -> DualComplex:

@@ -49,12 +49,10 @@ _EXACT = (int, Fraction)
 
 @functools.cache
 def _rational_sqrt(x: Fraction | int) -> Fraction | int | None:
-    """Exact square root of x if x is a square of a rational, else None.
+    """Exact square root of x > 0 if x is a square of a rational, else None.
 
     Decided once per radicand: an int root comes back for an integral square.
     """
-    if x < 0:
-        return None
     num = math.isqrt(x.numerator)
     den = math.isqrt(x.denominator)
     if num * num == x.numerator and den * den == x.denominator:
@@ -236,30 +234,32 @@ def make_alpha_beta(k: Fraction | int) -> tuple[QuadExt, QuadExt]:
     return QuadExt(1, 1, d), QuadExt(1, -1, d)
 
 
-def _cleared_roots(k: Fraction | int) -> tuple:
-    """(rho, rho_bar, unclear): the roots q +/- sqrt(q(p+q)) of x^2 = 2qx + pq, for k = p/q.
+def _cleared_roots(k: Fraction | int, n: int) -> tuple:
+    """(rho, rho_bar, a, b, unclear): the Binet power rule at any integer n, for k = p/q.
 
-    They are q alpha and q beta, with int coefficients and radicand at every k,
-    so their powers stay in int arithmetic. unclear(c, m, j=0) is the Fraction
-    c / ((rho - rho_bar) q^(m-1) p^j): c times the conjugate of rho - rho_bar,
-    over its int norm, q^(m-1) and p^j, with one gcd. Since
-    (rho^m - rho_bar^m)/(rho - rho_bar) is the cleared term A_m = q^(m-1) P_m,
-    unclear(rho^m - rho_bar^m, m) is P_m for m >= 0. Since rho rho_bar = -pq,
-    alpha^-1 = -rho_bar / p, so P_-j = q((-rho_bar)^j - (-rho)^j) / (p^j (rho - rho_bar))
-    is unclear((-rho_bar)^j - (-rho)^j, 0, j), with no negative power of q or p.
-    At q = 1 the roots are make_alpha_beta(k). Requires k > 0.
+    rho, rho_bar = q +/- sqrt(q(p+q)), the roots of x^2 = 2qx + pq, are q alpha
+    and q beta, with int coefficients and radicand at every k (make_alpha_beta(k)
+    at q = 1). a, b are rho^n, rho_bar^n for n >= 0 and, since rho rho_bar = -pq,
+    (-rho_bar)^-n, (-rho)^-n = p^-n alpha^n, p^-n beta^n for n < 0, so no power
+    is negative. Then a rho^j - b rho_bar^j is
+    (rho - rho_bar) q^(j-1) q^max(n,0) p^max(-n,0) P_{n+j}, and unclear(c, j)
+    turns such a numerator into the Fraction P_{n+j} with one gcd: c times the
+    conjugate of rho - rho_bar, over its int norm and those powers of q and p.
+    Checks n, then k > 0.
     """
+    n = exact_index(n)
     k = positive_k(k)
     p, q = k.numerator, k.denominator
     d = q * (p + q)
     rho, rho_bar = QuadExt(q, 1, d), QuadExt(q, -1, d)
     conj = (rho - rho_bar).conjugate()
-    norm = rationalize((rho - rho_bar) * conj).numerator
+    den = rationalize((rho - rho_bar) * conj).numerator * q ** max(n, 0) * p ** max(-n, 0)
+    a, b = (rho**n, rho_bar**n) if n >= 0 else ((-rho_bar) ** -n, (-rho) ** -n)
 
-    def unclear(c: QuadExt, m: int, j: int = 0) -> Fraction:
-        return Fraction(q * rationalize(c * conj).numerator, norm * q**m * p**j)
+    def unclear(c: QuadExt, j: int) -> Fraction:
+        return Fraction(q * rationalize(c * conj).numerator, den * q**j)
 
-    return rho, rho_bar, unclear
+    return rho, rho_bar, a, b, unclear
 
 
 def rationalize(x: QuadExt | Fraction | int) -> Fraction:

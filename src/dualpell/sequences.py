@@ -220,25 +220,19 @@ def seq_term(spec: SequenceSpec, n: int) -> Fraction | int:
 
 
 def seq_term_fast(spec: SequenceSpec, n: int) -> Fraction | int:
-    """seq_term for n >= 0; a negative index is rejected, as in the closed forms."""
+    """seq_term for n >= 0; a negative index is rejected."""
     return seq_term(spec, exact_index(n, 0))
 
 
 def seq_binet(k: Fraction | int, n: int) -> Fraction:
-    """P_{k,n} evaluated as (alpha^n - beta^n) / (alpha - beta), as a Fraction.
+    """P_{k,n} evaluated as (alpha^n - beta^n) / (alpha - beta), as a Fraction, any integer n.
 
-    With k = p/q it runs on rho = q alpha and rho_bar = q beta, the roots
-    q +/- sqrt(q(p+q)) of x^2 = 2qx + pq, so the powers stay in int arithmetic:
-    (rho^n - rho_bar^n) / (rho - rho_bar) is A_n = q^(n-1) P_n, and it and
-    q^(n-1) are divided out at the end, in one Fraction. At n = -j < 0,
-    (-rho_bar)^j and (-rho)^j take the place of rho^n and rho_bar^n, and p^j
-    joins the denominator of that Fraction (see scalars._cleared_roots).
+    It runs on the cleared roots q +/- sqrt(q(p+q)) of k = p/q and their
+    powers a, b at n, in int arithmetic, and divides once at the end
+    (the power rule is scalars._cleared_roots).
     """
-    n = exact_index(n)
-    rho, rho_bar, unclear = _cleared_roots(k)
-    if n < 0:
-        return unclear((-rho_bar) ** -n - (-rho) ** -n, 0, -n)
-    return unclear(rho**n - rho_bar**n, n)
+    _, _, a, b, unclear = _cleared_roots(k, n)
+    return unclear(a - b, 0)
 
 
 def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:

@@ -300,6 +300,17 @@ def test_quat_prints_values_past_the_int_str_digit_cap(capsys):
     assert json.loads(out)["one"] == expected
 
 
+def test_main_runs_where_python_has_no_int_str_digit_cap(capsys, monkeypatch):
+    # CPython 3.10.0-3.10.6 has no sys.set_int_max_str_digits; main then runs the command as is
+    previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, out, _ = run(capsys, "seq", "--family", "pell", "--k", "2",
+                       "--from", "0", "--to", "5", "--format", "plain")
+    assert code == 0
+    assert out.strip() == "0 1 2 6 16 44"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == previous
+
+
 def test_binet_plain_at_rational_k(capsys):
     code, out, _ = run(capsys, "binet", "--k", "5/2", "--n", "7", "--format", "plain")
     assert code == 0

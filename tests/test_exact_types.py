@@ -213,11 +213,11 @@ def test_integer_k_closed_forms_stay_int():
         for hat in hat_pair(k):
             for c in hat.coefficients():
                 assert (type(c.a), type(c.b), type(c.d)) == (int, int, int), (k, c)
-    # the cleared roots q +/- sqrt(q(p+q)) the Binet forms run on stay int at rational k too
+    # the cleared roots q +/- sqrt(q(p+q)) the Binet forms run on, and their powers at any n,
+    # stay int at rational k too
     for k in (2, Fraction(3, 2), Fraction(22, 7), Fraction(5, 4)):
-        rho, rho_bar, _ = _cleared_roots(k)
-        for n in range(12):
-            for c in (rho**n, rho_bar**n):
+        for n in range(-11, 12):
+            for c in _cleared_roots(k, n)[:4]:
                 assert (type(c.a), type(c.b), type(c.d)) == (int, int, int), (k, n, c)
 
 
