@@ -18,7 +18,7 @@ _HOMES = {
         "DualComplex",
         "NonInvertibleError",
     ),
-    "identities": ("CATALOG", "IdentityId", "identity_sides", "required_bindings"),
+    "identities": ("CATALOG", "IdentityId", "as_dual_complex", "identity_sides", "required_bindings"),
     "quaternions": (
         "PellQuaternion",
         "binet_quaternion",

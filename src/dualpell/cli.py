@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 an exact check came out unequal or inconsistent,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -238,14 +240,37 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter at its default width, found without importing shutil.
+
+    That width is shutil.get_terminal_size().columns - 2: a positive COLUMNS,
+    else the width of the terminal on sys.__stdout__, else 80.
+    """
+
+    def __init__(self, prog: str, **kwargs) -> None:
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):
+                columns = 0
+        super().__init__(prog, width=(columns or 80) - 2, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualpell",
         description="Exact dual-complex k-Pell sequences, quaternions and identity checks.",
+        formatter_class=_HelpFormatter,
     )
+    # Each subparser gets the formatter too: argparse builds one per add_argument.
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=_HelpFormatter)
 
-    p_seq = sub.add_parser("seq", help="print a stretch of a sequence")
+    p_seq = add_parser("seq", help="print a stretch of a sequence")
     p_seq.add_argument("--family", type=_family, required=True)
     p_seq.add_argument("--k", type=_k, required=True)
     p_seq.add_argument("--from", dest="start", type=_int, required=True)
@@ -253,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     p_seq.set_defaults(func=_cmd_seq)
 
-    p_quat = sub.add_parser("quat", help="print one dual-complex quaternion")
+    p_quat = add_parser("quat", help="print one dual-complex quaternion")
     p_quat.add_argument("--family", type=_family, required=True)
     p_quat.add_argument("--k", type=_k, required=True)
     p_quat.add_argument("--n", type=_int, required=True)
     p_quat.add_argument("--format", choices=("json", "plain"), default="json")
     p_quat.set_defaults(func=_cmd_quat)
 
-    p_id = sub.add_parser("identity", help="check one identity at one tuple")
+    p_id = add_parser("identity", help="check one identity at one tuple")
     p_id.add_argument("--id", type=_identity_id, required=True)
     p_id.add_argument("--k", type=_k)
     p_id.add_argument("--n", type=_int)
@@ -271,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Unset grid flags stay None and _cmd_sweep takes them from default_config(),
     # so building the parser loads no catalog.
-    p_sweep = sub.add_parser("sweep", help="sweep identities over a parameter grid")
+    p_sweep = add_parser("sweep", help="sweep identities over a parameter grid")
     p_sweep.add_argument("--ids", type=_identity_ids)
     p_sweep.add_argument("--k", type=lambda text: tuple(map(_k, text.split(","))))
     p_sweep.add_argument("--n", type=_int_range)
@@ -282,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("plain", "csv"), default="plain")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_binet = sub.add_parser("binet", help="closed-form value plus consistency check")
+    p_binet = add_parser("binet", help="closed-form value plus consistency check")
     p_binet.add_argument("--k", type=_k, required=True)
     p_binet.add_argument("--n", type=_nonnegative_int, required=True)
     p_binet.add_argument("--level", choices=("number", "quaternion"), default="number")
@@ -298,8 +323,6 @@ def _run(args: argparse.Namespace) -> int:
         code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:
-        import os
-
         # What is still buffered goes to devnull, so the flush at exit cannot fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

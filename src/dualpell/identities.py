@@ -3,8 +3,11 @@
 Every entry computes its left side from raw sequence and ring operations and
 its right side from the closed form, through structurally independent code,
 so an exact mismatch points at the identity itself rather than at a shared
-bug. Scalar identities are embedded as dual-complex values with zero i, eps
-and i*eps slots so a single report format covers the whole catalog. Each
+bug. A scalar identity's sides are two plain int or Fraction values, which
+the sweep compares as they are; ``as_dual_complex`` wraps them as dual-complex
+values with zero i, eps and i*eps slots only where a report or a caller sees
+them (``identity_sides`` and a kept counterexample), so one report format
+covers the whole catalog. Each
 entry's ``sides(t, n, ...)`` reads its terms, products Q_a Q_b and gamma from
 a view ``t = Terms(k)`` made for the evaluation, and takes its integer
 bindings as arguments, in the order of the entry's ``params``. A right side
@@ -37,7 +40,8 @@ if TYPE_CHECKING:
 
 
 Bindings = Mapping[str, object]
-Sides = Callable[..., tuple[DualComplex, DualComplex]]
+Side = DualComplex | int | Fraction
+Sides = Callable[..., tuple[Side, Side]]
 
 
 def _nonneg(*values: int) -> bool:
@@ -45,7 +49,11 @@ def _nonneg(*values: int) -> bool:
 
 
 class CatalogEntry(_FrozenRecord):
-    """``sides(t, *values)`` and ``pre(*values)`` over ``params``, in that order."""
+    """``sides(t, *values)`` and ``pre(*values)`` over ``params``, in that order.
+
+    ``sides`` returns two DualComplex values, or two int/Fraction values for
+    a scalar identity; ``as_dual_complex`` wraps a scalar side for a reader.
+    """
 
     __slots__ = __match_args__ = ("sides", "params", "pre", "uses_k")
 
@@ -58,6 +66,11 @@ class CatalogEntry(_FrozenRecord):
 
 def _dc(one, i=0, eps=0, ieps=0) -> DualComplex:
     return DualComplex(one, i, eps, ieps)
+
+
+def as_dual_complex(side: Side) -> DualComplex:
+    """side itself if it is a DualComplex, else the scalar side as DualComplex(side, 0, 0, 0)."""
+    return side if isinstance(side, DualComplex) else DualComplex(side, 0, 0, 0)
 
 
 # --- conjugation products of the k-Pell dual-complex number (F12-F25) ------
@@ -204,10 +217,6 @@ def _sides_g19_stated(t, n, r):
 
 # --- scalar helper identities from the quaternion proofs ---------------------
 
-def _p_number(t, j):
-    return _dc(t.p(j))
-
-
 def _dot(a, b, c, d, sign=1):
     """a*b + sign*c*d, an int if all four are; else one Fraction of their int parts, normalized once."""
     if int is type(a) is type(b) is type(c) is type(d):
@@ -227,7 +236,7 @@ def _sides_helper_honsberger(t, n, m):
         lhs = t.k * t.p(n - 1) * t.p(m) + t.p(n) * t.p(m + 1)
     else:
         lhs = _dot(t.once(_k_p_before, n), t.p(m), t.p(n), t.p(m + 1))
-    return _dc(lhs), t.once(_p_number, n + m)
+    return lhs, t.p(n + m)
 
 
 def _vajda_p(t, n, i, j, sign=1):
@@ -236,13 +245,13 @@ def _vajda_p(t, n, i, j, sign=1):
     if sign != 1:
         a, b, c, d = c, d, a, b
     lhs = a * b - c * d if type(t.k) is int else _dot(a, b, c, d, -1)
-    return _dc(lhs), _dc(t.once(_neg_k_pow, n) * t.once(_signed_p_product, (i, j, sign)))
+    return lhs, t.once(_neg_k_pow, n) * t.once(_signed_p_product, (i, j, sign))
 
 
 # --- consistency checks between independent evaluation routes ----------------
 
 def _sides_binet_number(t, n):
-    return _dc(seq_binet(t.k, n)), _dc(t.p(n))
+    return seq_binet(t.k, n), t.p(n)
 
 
 def _sides_binet_quaternion(t, n):
@@ -251,7 +260,7 @@ def _sides_binet_quaternion(t, n):
 
 def _sides_prefix_sum(t, n):
     literal = sum(t.row(Family.K_PELL, 0, n + 1))
-    return _dc(seq_prefix_sum(t.k, n)), _dc(literal)
+    return seq_prefix_sum(t.k, n), literal
 
 
 # --- sample-based ring properties --------------------------------------------
@@ -397,7 +406,7 @@ def required_bindings(ident: IdentityId) -> tuple[str, ...]:
 def identity_sides(
     ident: IdentityId, bindings: Bindings
 ) -> tuple[DualComplex, DualComplex]:
-    """Evaluate both sides of one identity at the given parameter values.
+    """Evaluate both sides of one identity at the given parameter values, as DualComplex values.
 
     Bindings must supply exactly the parameters the identity quantifies over
     (k and a subset of n, m, r) and satisfy its range preconditions.
@@ -415,4 +424,5 @@ def identity_sides(
     t = Terms(positive_k(bindings["k"])) if entry.uses_k else None  # type: ignore[arg-type]
     if not entry.pre(*values):
         raise ValueError(f"bindings out of range for {ident.value}: {dict(bindings)}")
-    return entry.sides(t, *values)
+    lhs, rhs = entry.sides(t, *values)
+    return as_dual_complex(lhs), as_dual_complex(rhs)

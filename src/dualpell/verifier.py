@@ -138,7 +138,7 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
     evaluation errors are recorded as failures, not raised, so one bad tuple
     cannot abort the sweep.
     """
-    from .identities import CATALOG
+    from .identities import CATALOG, as_dual_complex
     from .sequences import Terms
 
     config = _normalize(config)
@@ -172,6 +172,8 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
                 if len(counterexamples) < config.max_counterexamples:
                     shown = {"k": k} if entry.uses_k else {}
                     shown.update(zip(entry.params, values))
+                    if error is None:  # a scalar identity's sides are shown as DualComplex values
+                        lhs, rhs = as_dual_complex(lhs), as_dual_complex(rhs)
                     counterexamples.append(Counterexample(shown, lhs, rhs, error))
         k1_seen = 1 in ks and bool(grid)
         if failures == 0:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from hypothesis import settings
 
-from dualpell import CATALOG, DualComplex, make_alpha_beta, rationalize
+from dualpell import CATALOG, DualComplex, as_dual_complex, make_alpha_beta, rationalize
 from dualpell.sequences import Terms
 
 # Hypothesis runs that replay the same examples on every run and keep no database.
@@ -77,6 +77,12 @@ SIDES_KS = (1, 2, Fraction(3, 2), Fraction(7, 4))
 SIDES_INDICES = range(0, 7)
 
 
+def shown(side) -> tuple:
+    """repr, JSON and coefficient types of a side, as as_dual_complex shows it."""
+    w = as_dual_complex(side)
+    return repr(w), w.to_json_dict(), tuple(type(c) for c in w.coefficients())
+
+
 def _side_line(w: DualComplex) -> str:
     types = ",".join(type(c).__name__ for c in w.coefficients())
     return f"{w!r} {json.dumps(w.to_json_dict(), sort_keys=True)} {types}"
@@ -84,6 +90,8 @@ def _side_line(w: DualComplex) -> str:
 
 def sides_digests() -> dict[str, str]:
     """One sha256 per k-entry over the repr, JSON and coefficient types of both sides.
+
+    A scalar side is read as as_dual_complex shows it, DualComplex(x, 0, 0, 0).
 
     Every k in SIDES_KS and every tuple of SIDES_INDICES the entry's pre
     admits is evaluated on one view per (entry, k), as the sweep does, so the
@@ -101,7 +109,7 @@ def sides_digests() -> dict[str, str]:
             t = Terms(k)
             for values in itertools.product(SIDES_INDICES, repeat=len(entry.params)):
                 if entry.pre(*values):
-                    lhs, rhs = entry.sides(t, *values)
+                    lhs, rhs = map(as_dual_complex, entry.sides(t, *values))
                     lines.append(f"{k} {values} {_side_line(lhs)} | {_side_line(rhs)}")
         digests[ident.value] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return digests

@@ -32,7 +32,7 @@ from dualpell import (
 )
 from dualpell.scalars import positive_k
 from dualpell.sequences import Terms
-from support import SEEDED, naive_pell_row
+from support import SEEDED, naive_pell_row, shown
 
 ks = st.builds(Fraction, st.integers(1, 50), st.integers(1, 50))
 los = st.integers(-30, 80)
@@ -179,10 +179,6 @@ ONCE_READERS = tuple(
 )
 
 
-def _shown(w: DualComplex):
-    return repr(w), w.to_json_dict(), tuple(type(c) for c in w.coefficients())
-
-
 @SEEDED
 @given(ks, st.integers(0, 6), st.randoms(use_true_random=False))
 def test_one_view_across_a_grid_reads_what_a_fresh_view_per_tuple_reads(k, top, rng):
@@ -195,4 +191,4 @@ def test_one_view_across_a_grid_reads_what_a_fresh_view_per_tuple_reads(k, top, 
         for values in grid:
             once = entry.sides(t, *values)
             fresh = entry.sides(Terms(k), *values)
-            assert [_shown(w) for w in once] == [_shown(w) for w in fresh]
+            assert [shown(w) for w in once] == [shown(w) for w in fresh]

@@ -4,6 +4,7 @@ All expected tuples were computed independently by term-by-term basis-table
 expansion over plain Fractions before being frozen here.
 """
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from dualpell import (
     CATALOG,
     DualComplex,
     IdentityId,
+    as_dual_complex,
     check_one,
     identity_sides,
     required_bindings,
@@ -23,7 +25,7 @@ from dualpell import (
 from dualpell.identities import _dot, _vajda, _vajda_p
 from dualpell.scalars import positive_k
 from dualpell.sequences import Terms
-from support import SEEDED, sides_digests
+from support import SEEDED, shown, sides_digests
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -254,7 +256,7 @@ ks = st.one_of(st.integers(1, 6), st.builds(Fraction, st.integers(1, 9), st.inte
 
 
 def assert_exact(*sides):
-    for side in sides:
+    for side in map(as_dual_complex, sides):
         assert all(type(c) in (int, Fraction) for c in side.coefficients()), side
 
 
@@ -295,9 +297,9 @@ def test_vajda_p_at_sign_minus_one_negates_both_sides_with_their_types(k, n, i, 
     lhs, rhs = _vajda_p(t, n, i, j, 1)
     neg_lhs, neg_rhs = _vajda_p(t, n, i, j, -1)
     plain = t.p(n) * t.p(n + i + j) - t.p(n + i) * t.p(n + j)
-    assert neg_lhs.real == plain and type(neg_lhs.real) is type(plain)
+    assert neg_lhs == plain and type(neg_lhs) is type(plain)
     assert (neg_lhs, neg_rhs) == (-lhs, -rhs)
-    assert type(lhs.real) is type(plain)
+    assert type(lhs) is type(plain)
 
 
 # What each k-entry does on the tuples its pre rejects. Every entry not named
@@ -339,3 +341,45 @@ def test_every_entry_outside_its_range_matches_the_table(k, a, b):
         assert_exact(lhs, rhs)
         holds = HOLDS_ONLY_WHERE.get(ident, lambda *_: True)(k, *values)
         assert (lhs == rhs) == holds, (ident, lhs, rhs)
+
+
+# The entries whose sides are plain int/Fraction scalars: the sweep compares
+# them as they are, and as_dual_complex wraps them where a reader sees them.
+SCALAR_ENTRIES = (
+    IdentityId.HELPER_HONSBERGER,
+    IdentityId.HELPER_DOCAGNE,
+    IdentityId.HELPER_CASSINI,
+    IdentityId.F14KERNEL,
+    IdentityId.BINET_NUMBER,
+    IdentityId.PREFIX_SUM,
+)
+
+
+def _in_range(entry):
+    """A few tuples the entry's pre admits, m below n among them."""
+    return [v for v in itertools.product((1, 2, 4), repeat=len(entry.params)) if entry.pre(*v)]
+
+
+@pytest.mark.parametrize("k", [2, Fraction(3, 2)])
+def test_both_sides_of_every_k_entry_are_of_one_kind(k):
+    t = Terms(k)
+    scalar = set()
+    for ident in K_ENTRIES:
+        entry = CATALOG[ident]
+        for values in _in_range(entry):
+            kinds = {type(side) for side in entry.sides(t, *values)}
+            assert kinds == {DualComplex} or kinds <= {int, Fraction}, (ident, values, kinds)
+            if kinds != {DualComplex}:
+                scalar.add(ident)
+    assert scalar == set(SCALAR_ENTRIES)
+
+
+@pytest.mark.parametrize("k", [2, Fraction(3, 2)])
+@pytest.mark.parametrize("ident", SCALAR_ENTRIES, ids=lambda ident: ident.value)
+def test_identity_sides_shows_a_scalar_side_as_a_dual_complex(ident, k):
+    entry = CATALOG[ident]
+    for values in _in_range(entry):
+        bindings = dict(zip(entry.params, values), k=k)
+        for side, scalar in zip(identity_sides(ident, bindings), entry.sides(Terms(k), *values)):
+            assert type(side) is DualComplex
+            assert shown(side) == shown(DualComplex(scalar, 0, 0, 0))

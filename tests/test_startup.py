@@ -6,6 +6,7 @@ missing import there, since this suite imports the whole package first, so
 the commands also run here in fresh interpreters.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import dualpell
+from dualpell import cli
 from dualpell.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -133,7 +135,26 @@ START_UPS = {**PARSER_PATHS, **COMPUTING}
 @pytest.mark.parametrize("code", START_UPS.values(), ids=START_UPS.keys())
 def test_start_up_without_site_loads_no_typing_or_dataclasses(code):
     # -S: no site hook can preload these and so hide a module that the package pulls in.
-    assert {"typing", "dataclasses", "inspect"} & modules_after(code, "-S") == set()
+    # shutil is what argparse's HelpFormatter imports when no width is given.
+    assert {"typing", "dataclasses", "inspect", "shutil"} & modules_after(code, "-S") == set()
+
+
+@pytest.mark.parametrize("columns", [None, "60", "200"])
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["help", "sweep-help"])
+def test_help_is_wrapped_as_argparse_wraps_it(argv, columns, capsys, monkeypatch):
+    # The CLI's formatter finds argparse's default width without shutil; the
+    # stock HelpFormatter, which asks shutil, must print the same bytes.
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    printed = []
+    for formatter in (cli._HelpFormatter, argparse.HelpFormatter):
+        monkeypatch.setattr(cli, "_HelpFormatter", formatter)
+        with pytest.raises(SystemExit):
+            main(argv)
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
 
 
 @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())

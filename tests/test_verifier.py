@@ -9,14 +9,18 @@ import pytest
 
 from dualpell import (
     CATALOG,
+    DualComplex,
     IdentityId,
     SweepConfig,
     Verdict,
     check_one,
     default_config,
+    report_to_dict,
     reports_to_json,
     sweep,
 )
+from dualpell.sequences import Terms
+from support import shown
 
 
 def small_config(ids, ks=(1, 2), n=(0, 6), m=(0, 6), r=(1, 4)):
@@ -205,6 +209,31 @@ def test_sides_that_raise_are_recorded_as_failures(monkeypatch):
     assert payload[0]["counterexamples"][0] == {
         "k": "1", "n": 1, "lhs": None, "rhs": None, "error": "ZeroDivisionError: stand-in fault",
     }
+
+
+def test_a_scalar_counterexample_is_shown_as_a_dual_complex(monkeypatch):
+    # The sweep compares helper_docagne's int/Fraction sides as they are and
+    # wraps them only for a counterexample it keeps.
+    real = CATALOG[IdentityId.HELPER_DOCAGNE]
+
+    def off_by_one(t, n, m):
+        lhs, rhs = real.sides(t, n, m)
+        return (lhs + 1 if (n, m) == (2, 3) else lhs), rhs
+
+    monkeypatch.setitem(CATALOG, IdentityId.HELPER_DOCAGNE, dataclasses.replace(real, sides=off_by_one))
+    ks = (Fraction(3, 2), 2)  # in the sweep's order
+    (report,) = sweep(small_config([IdentityId.HELPER_DOCAGNE], ks=ks, n=(0, 4), m=(0, 4)))
+    assert report.verdict is Verdict.FAILS
+    assert [ce.bindings for ce in report.counterexamples] == [{"k": k, "n": 2, "m": 3} for k in ks]
+    for ce in report.counterexamples:
+        lhs, rhs = real.sides(Terms(ce.bindings["k"]), 2, 3)
+        expected = DualComplex(lhs + 1, 0, 0, 0), DualComplex(rhs, 0, 0, 0)
+        assert [shown(side) for side in (ce.lhs, ce.rhs)] == [shown(side) for side in expected]
+        assert type(ce.lhs) is type(ce.rhs) is DualComplex
+    payload = report_to_dict(report)["counterexamples"]
+    assert [(row["lhs"], row["rhs"]) for row in payload] == [
+        (ce.lhs.to_json_dict(), ce.rhs.to_json_dict()) for ce in report.counterexamples
+    ]
 
 
 def test_fixed_index_rows_do_not_read_the_entry_they_restate(monkeypatch):
