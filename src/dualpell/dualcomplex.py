@@ -5,7 +5,7 @@ Writing w = z1 + eps*z2 with complex z1, z2, an element is invertible exactly
 when z1 is nonzero; elements with z1 = 0 are zero divisors (eps is nilpotent).
 
 Coefficients are generic over an exact scalar ring: one multiplication formula
-serves int, Fraction and QuadExt, which is how the Binet machinery reuses it.
+serves int, Fraction and QuadExt, which is how hat_pair and gamma_coefficient reuse it.
 int and Fraction coefficients may mix. Over Q, that is with every coefficient
 in scalars._EXACT (int or Fraction), +, -, unary -, scale, *, == and the
 conjugates run in int on each value's canonical cleared form

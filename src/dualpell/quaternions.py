@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dualcomplex import DualComplex, _FrozenRecord
-from .scalars import QuadExt, _cleared_roots, make_alpha_beta, rationalize
-from .sequences import Family, dc_number, terms
+from .scalars import QuadExt, make_alpha_beta, rationalize
+from .sequences import Family, _cleared_roots, dc_number, terms
 
 
 class PellQuaternion(_FrozenRecord):
@@ -38,34 +38,30 @@ def build_quaternion(family: Family, k: Fraction | int, n: int) -> PellQuaternio
     return PellQuaternion(dc_number(family, k, n), family, k, n)
 
 
-def _hat(root: QuadExt) -> DualComplex:
-    one = QuadExt(1, 0, root.d)
-    return DualComplex(one, root, root * root, root * root * root)
-
-
 def hat_pair(k: Fraction | int) -> tuple[DualComplex, DualComplex]:
     """The pair (1 + i r + eps r^2 + i eps r^3) for each characteristic root r.
 
     Coefficients live in Q(sqrt(1+k)); these are the constant companions of
     alpha^n and beta^n in the quaternion-level closed form.
     """
-    alpha, beta = make_alpha_beta(k)
-    return _hat(alpha), _hat(beta)
+    return tuple(DualComplex(QuadExt(1, 0, r.d), r, r * r, r * r * r) for r in make_alpha_beta(k))
 
 
 def binet_quaternion(k: Fraction | int, n: int) -> DualComplex:
     """Closed form (hat_alpha * alpha^n - hat_beta * beta^n) / (alpha - beta), any integer n.
 
-    Evaluated exactly over quadratic scalars and collapsed coefficient-wise
-    to Fractions; equals build_quaternion(K_PELL, k, n).value. It runs on the
-    cleared roots rho, rho_bar = q +/- sqrt(q(p+q)) of k = p/q and their powers
-    a, b at n, in int arithmetic: slot j of hat(rho) a - hat(rho_bar) b is
-    cleared P_{n+j}, divided once at the end (the power rule is
-    scalars._cleared_roots).
+    Exact, with Fraction coefficients; equals build_quaternion(K_PELL, k, n).value.
+    Slot j of hat(rho) a - hat(rho_bar) b is a rho^j - b rho_bar^j, cleared P_{n+j},
+    on the int-pair powers a, b at n of the cleared roots rho, rho_bar = q +/- sqrt(q(p+q))
+    of k = p/q, stepped by rho and rho_bar in int and divided once at the end
+    (the power rule is sequences._cleared_roots).
     """
-    rho, rho_bar, a, b, unclear = _cleared_roots(k, n)
-    numerator = _hat(rho).scale(a) - _hat(rho_bar).scale(b)
-    return DualComplex(*(unclear(c, j) for j, c in enumerate(numerator.coefficients())))
+    q, d, (ax, ay), (bx, by), unclear = _cleared_roots(k, n)
+    slots = [unclear(ax - bx, ay - by, 0)]
+    for j in (1, 2, 3):  # a times rho = q + sqrt(d), b times rho_bar = q - sqrt(d)
+        ax, ay, bx, by = ax * q + ay * d, ax + ay * q, bx * q - by * d, by * q - bx
+        slots.append(unclear(ax - bx, ay - by, j))
+    return DualComplex(*slots)
 
 
 def gamma_closed(k: Fraction | int) -> DualComplex:

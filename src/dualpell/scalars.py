@@ -3,10 +3,9 @@
 Rationals are stdlib ``fractions.Fraction`` values (always reduced, positive
 denominator, exact equality). ``QuadExt`` adds a single square root over
 int or Fraction coefficients so the characteristic roots 1 +/- sqrt(1+k) of
-x^2 = 2x + k can be manipulated exactly. For k = p/q the Binet forms run on
-q times those roots, q +/- sqrt(q(p+q)), in plain int arithmetic at every k;
-when the radicand happens to be a perfect rational square the radical is
-folded away so equality stays coefficient-wise decidable.
+x^2 = 2x + k can be manipulated exactly (the Binet forms run on int pairs
+instead, in sequences._cleared_roots); a radicand that is a perfect rational
+square is folded away, so equality stays coefficient-wise decidable.
 """
 
 from __future__ import annotations
@@ -232,34 +231,6 @@ def make_alpha_beta(k: Fraction | int) -> tuple[QuadExt, QuadExt]:
     """
     d = 1 + positive_k(k)
     return QuadExt(1, 1, d), QuadExt(1, -1, d)
-
-
-def _cleared_roots(k: Fraction | int, n: int) -> tuple:
-    """(rho, rho_bar, a, b, unclear): the Binet power rule at any integer n, for k = p/q.
-
-    rho, rho_bar = q +/- sqrt(q(p+q)), the roots of x^2 = 2qx + pq, are q alpha
-    and q beta, with int coefficients and radicand at every k (make_alpha_beta(k)
-    at q = 1). a, b are rho^n, rho_bar^n for n >= 0 and, since rho rho_bar = -pq,
-    (-rho_bar)^-n, (-rho)^-n = p^-n alpha^n, p^-n beta^n for n < 0, so no power
-    is negative. Then a rho^j - b rho_bar^j is
-    (rho - rho_bar) q^(j-1) q^max(n,0) p^max(-n,0) P_{n+j}, and unclear(c, j)
-    turns such a numerator into the Fraction P_{n+j} with one gcd: c times the
-    conjugate of rho - rho_bar, over its int norm and those powers of q and p.
-    Checks n, then k > 0.
-    """
-    n = exact_index(n)
-    k = positive_k(k)
-    p, q = k.numerator, k.denominator
-    d = q * (p + q)
-    rho, rho_bar = QuadExt(q, 1, d), QuadExt(q, -1, d)
-    conj = (rho - rho_bar).conjugate()
-    den = rationalize((rho - rho_bar) * conj).numerator * q ** max(n, 0) * p ** max(-n, 0)
-    a, b = (rho**n, rho_bar**n) if n >= 0 else ((-rho_bar) ** -n, (-rho) ** -n)
-
-    def unclear(c: QuadExt, j: int) -> Fraction:
-        return Fraction(q * rationalize(c * conj).numerator, den * q**j)
-
-    return rho, rho_bar, a, b, unclear
 
 
 def rationalize(x: QuadExt | Fraction | int) -> Fraction:

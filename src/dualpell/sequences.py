@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .dualcomplex import DualComplex, _FrozenRecord
-from .scalars import ASCII_SPACE, _cleared_roots, exact_index, positive_k
+from .scalars import ASCII_SPACE, exact_index, positive_k
 
 
 class Family(Enum):
@@ -224,15 +224,47 @@ def seq_term_fast(spec: SequenceSpec, n: int) -> Fraction | int:
     return seq_term(spec, exact_index(n, 0))
 
 
+def _pair_power(x: int, y: int, d: int, e: int) -> tuple[int, int]:
+    """(x + y t)^e for e >= 0 in Z[t]/(t^2 - d), by square and multiply on int pairs."""
+    if e < 2:
+        return (x, y) if e else (1, 0)
+    sx, sy = _pair_power(x * x + y * y * d, 2 * x * y, d, e >> 1)
+    return (sx * x + sy * y * d, sx * y + sy * x) if e & 1 else (sx, sy)
+
+
+def _cleared_roots(k: Fraction | int, n: int) -> tuple:
+    """(q, d, a, b, unclear): the Binet power rule at any integer n, for k = p/q.
+
+    rho, rho_bar = q +/- sqrt(d), d = q(p+q), are q alpha and q beta. a, b are
+    rho^n, rho_bar^n for n >= 0 and, as rho rho_bar = -pq, (-rho_bar)^-n, (-rho)^-n
+    for n < 0: int pairs (x, y) for x + y sqrt(d), taken in Z[t]/(t^2 - d), so a
+    square d folds nothing. x + y sqrt(d) = a rho^j - b rho_bar^j has x = 0 and
+    y = 2 q^(j-1) q^max(n,0) p^max(-n,0) P_{n+j}; unclear(x, y, j) turns it into
+    the Fraction P_{n+j} with one gcd. Checks n, then k > 0.
+    """
+    n = exact_index(n)
+    k = positive_k(k)
+    p, q = k.numerator, k.denominator
+    d = q * (p + q)
+    den, s = (2 * q**n, q) if n >= 0 else (2 * p**-n, -q)  # s +/- t: rho, rho_bar or -rho_bar, -rho
+    a, b = _pair_power(s, 1, d, abs(n)), _pair_power(s, -1, d, abs(n))
+
+    def unclear(x: int, y: int, j: int) -> Fraction:
+        if x:
+            raise ValueError(f"Binet numerator {x} + {y}*sqrt({d}) is not a multiple of sqrt({d})")
+        return Fraction(q * y, den * q**j)
+
+    return q, d, a, b, unclear
+
+
 def seq_binet(k: Fraction | int, n: int) -> Fraction:
     """P_{k,n} evaluated as (alpha^n - beta^n) / (alpha - beta), as a Fraction, any integer n.
 
-    It runs on the cleared roots q +/- sqrt(q(p+q)) of k = p/q and their
-    powers a, b at n, in int arithmetic, and divides once at the end
-    (the power rule is scalars._cleared_roots).
+    It runs on the int-pair powers a, b of the cleared roots q +/- sqrt(q(p+q))
+    of k = p/q at n and divides once at the end (the power rule is _cleared_roots).
     """
-    _, _, a, b, unclear = _cleared_roots(k, n)
-    return unclear(a - b, 0)
+    _, _, (ax, ay), (bx, by), unclear = _cleared_roots(k, n)
+    return unclear(ax - bx, ay - by, 0)
 
 
 def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:

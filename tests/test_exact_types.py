@@ -35,7 +35,7 @@ from dualpell import (
     terms,
 )
 from dualpell.identities import IdentityId
-from dualpell.scalars import _cleared_roots
+from dualpell.sequences import _cleared_roots
 
 FLOAT_K_ENTRIES = {
     "pell_term": lambda k: pell_term(k, 3),
@@ -213,12 +213,12 @@ def test_integer_k_closed_forms_stay_int():
         for hat in hat_pair(k):
             for c in hat.coefficients():
                 assert (type(c.a), type(c.b), type(c.d)) == (int, int, int), (k, c)
-    # the cleared roots q +/- sqrt(q(p+q)) the Binet forms run on, and their powers at any n,
-    # stay int at rational k too
+    # the cleared roots q +/- sqrt(q(p+q)) the Binet forms run on: q, the radicand q(p+q)
+    # and every component of the int-pair powers at any n stay int at rational k too
     for k in (2, Fraction(3, 2), Fraction(22, 7), Fraction(5, 4)):
         for n in range(-11, 12):
-            for c in _cleared_roots(k, n)[:4]:
-                assert (type(c.a), type(c.b), type(c.d)) == (int, int, int), (k, n, c)
+            q, d, a, b, _ = _cleared_roots(k, n)
+            assert [type(c) for c in (q, d, *a, *b)] == [int] * 6, (k, n, a, b)
 
 
 def test_integer_k_terms_and_integral_products_hold_a_d_1_form_with_int_coefficients():

@@ -1,5 +1,6 @@
 """Quaternion construction, Binet closed form, and the root-product coefficient."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -8,18 +9,25 @@ import pytest
 from dualpell import (
     DualComplex,
     Family,
+    IdentityId,
+    QuadExt,
+    SweepConfig,
+    Verdict,
     binet_quaternion,
     build_quaternion,
     dc_number,
     gamma_closed,
     gamma_coefficient,
     hat_pair,
+    identity_sides,
     make_alpha_beta,
     pell_term,
     rationalize,
     seq_binet,
+    sweep,
     terms,
 )
+from dualpell import cli
 from support import binet_over_alpha_beta
 
 
@@ -104,21 +112,44 @@ def test_binet_quaternion_matches_build_sampled():
 
 
 def test_binet_on_cleared_roots_matches_binet_on_alpha_beta():
-    for k in (Fraction(3, 2), Fraction(1, 2), Fraction(22, 7), Fraction(5, 4), Fraction(7, 9), 2):
-        for n in (0, 1, 7, 30):
-            reference = binet_over_alpha_beta(k, n)
-            assert binet_quaternion(k, n) == reference
-            assert seq_binet(k, n) == reference.real
+    ks = (Fraction(3, 2), Fraction(1, 2), Fraction(22, 7), Fraction(5, 4), Fraction(7, 9), 2)
+    # k = 2, n = 20,000 is where bench/probes.py times both routes
+    for k, n in [(k, n) for k in ks for n in (0, 1, 7, 30)] + [(2, 20_000)]:
+        reference = binet_over_alpha_beta(k, n)
+        assert binet_quaternion(k, n) == reference, (k, n)
+        assert seq_binet(k, n) == reference.real, (k, n)
 
 
 def test_binet_quaternion_at_negative_index_matches_dc_number():
     # at k = 3, 8, 5/4 and 7/9 the cleared radicand q(p+q) is a square (4, 9, 36, 144),
-    # so the radical folds away
+    # which the int-pair powers must not fold into their rational parts
     ks = (1, 2, 3, 8, Fraction(1, 2), Fraction(22, 7), Fraction(5, 3), Fraction(5, 4), Fraction(7, 9))
+    # |n| = 63, 64, 65 and 300 take every branch of the square and multiply, at both signs of n
     for k in ks:
-        for n in range(-12, 0):
+        for n in (*range(-12, 0), -300, -65, -64, -63, 63, 64, 65, 300):
             assert binet_quaternion(k, n) == dc_number(Family.K_PELL, k, n), (k, n)
             assert seq_binet(k, n) == pell_term(k, n), (k, n)
+
+
+def test_no_binet_evaluation_builds_a_quad_ext(monkeypatch, capsys):
+    def refuse(self, *args):
+        raise AssertionError(f"QuadExt{args} built")
+
+    monkeypatch.setattr(QuadExt, "__init__", refuse)
+    ks = (1, 2, 3, 8, Fraction(1, 2), Fraction(5, 4), Fraction(7, 9), Fraction(22, 7))
+    ids = (IdentityId.BINET_NUMBER, IdentityId.BINET_QUATERNION)
+    for k in ks:
+        for n in (-3, 0, 5):
+            assert seq_binet(k, n) == pell_term(k, n), (k, n)
+            assert binet_quaternion(k, n) == dc_number(Family.K_PELL, k, n), (k, n)
+            for ident in ids if n >= 0 else ():  # the catalog's Binet ids take n >= 0
+                lhs, rhs = identity_sides(ident, {"k": k, "n": n})
+                assert lhs == rhs, (ident, k, n)
+        for level in ("number", "quaternion"):
+            assert cli.main(["binet", "--k", str(k), "--n", "9", "--level", level]) == 0, (k, level)
+            assert json.loads(capsys.readouterr().out)["consistent"] is True
+    reports = sweep(SweepConfig(ids, ks, (0, 6), (0, 0), (1, 1)))
+    assert [r.verdict for r in reports] == [Verdict.HOLDS, Verdict.HOLDS]
 
 
 def test_gamma_fixtures():
