@@ -4,24 +4,20 @@ Multiplication follows i^2 = -1, eps^2 = 0, (i*eps)^2 = 0, i*eps = eps*i.
 Writing w = z1 + eps*z2 with complex z1, z2, an element is invertible exactly
 when z1 is nonzero; elements with z1 = 0 are zero divisors (eps is nilpotent).
 
-Coefficients are generic over an exact scalar ring: one multiplication formula
-serves int, Fraction and QuadExt, which is how hat_pair and gamma_coefficient reuse it.
-int and Fraction coefficients may mix. Over Q, that is with every coefficient
-in scalars._EXACT (int or Fraction), +, -, unary -, scale, *, == and the
-conjugates run in int on each value's canonical cleared form
+Coefficients are rationals: int and Fraction, which may mix (scalars._EXACT).
+Every value is cleared once, when it is made, to its canonical form
 (n1, n2, n3, n4, d): the coefficients are nj / d with d >= 1 and
-gcd(n1, n2, n3, n4, d) = 1. Every value over Q is cleared once, when it is
-made. Four ints (d = 1) or four Fractions over d > 1 are held as the form
-alone; any other value over Q keeps its coefficients as given beside it. A
-kernel's result holds its form alone: its coefficients are read off the
-form, as plain ints when d = 1, so integral results come back with int
-coefficients. With a QuadExt coefficient the same formulas run on
-the coefficients. Over Q the dual-complex conjugate of (a, b, c, e)/D is
-(aN, -bN, x, y)/(D N) with N = a^2 + b^2; over a QuadExt it scales by the
-exact reciprocal Fraction(1)/|z1|^2. A quotient w / v is w v* / (v v*) for
-the dual-complex conjugate v*, on one route for every scalar ring: v v* is
-the real |z1|^2, so it is w v* scaled by its reciprocal. No coefficient ever
-becomes a float.
+gcd(n1, n2, n3, n4, d) = 1. +, -, unary -, scale, *, == and the conjugates
+each run one kernel, in int on the forms. Four ints (d = 1) or four
+Fractions over d > 1 are held as the form alone; any other value keeps its
+coefficients as given beside it. A kernel's result holds its form alone: its
+coefficients are read off the form, as plain ints when d = 1, so integral
+results come back with int coefficients. The dual-complex conjugate of
+(a, b, c, e)/D is (aN, -bN, x, y)/(D N) with N = a^2 + b^2. A quotient w / v
+is w v* / (v v*) for the dual-complex conjugate v*: v v* is the real
+|z1|^2, so it is w v* scaled by its reciprocal. No coefficient ever becomes
+a float. Values in Q(sqrt(1+k)), such as the Binet constants, are carried as
+pairs X, Y of values over Q for X + sqrt(1+k) Y (see quaternions.hat_pair).
 
 DualComplex and the package's six other records stand on _Record, which
 gives them a dataclass's API without importing dataclasses at start-up.
@@ -34,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .scalars import _EXACT, _SCALARS, parse_rational
+from .scalars import _EXACT, parse_rational
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -142,16 +138,15 @@ class _FrozenRecord(_Record):
 
 
 class DualComplex(_Record):
-    """w = real + imag*i + dual*eps + dual_imag*i*eps over int, Fraction or QuadExt.
+    """w = real + imag*i + dual*eps + dual_imag*i*eps over int and Fraction.
 
-    A float or bool coefficient raises TypeError. The four fields are read-only
-    properties over two private slots, and never change: _c holds the four
-    coefficients, or None while the value holds its form alone (see
-    coefficients), and _form holds the canonical cleared form, made with the
-    value over Q, or False with a QuadExt coefficient. Neither slot is a
-    field, so repr, hash and the constructor never show them, and == answers
-    the same whichever a value holds. Pickling and copying keep both slots as
-    they are.
+    Any other coefficient, a float, a bool or a QuadExt, raises TypeError. The
+    four fields are read-only properties over two private slots, and never
+    change: _form holds the canonical cleared form, made with the value, and
+    _c the four coefficients, or None while the value holds its form alone
+    (see coefficients). Neither slot is a field, so repr, hash and the
+    constructor never show them, and == compares forms. Pickling and copying
+    keep both slots as they are.
     """
 
     __slots__ = ("_c", "_form")
@@ -174,19 +169,14 @@ class DualComplex(_Record):
             self._form = (real.numerator * (d // d1), imag.numerator * (d // d2),
                           dual.numerator * (d // d3), dual_imag.numerator * (d // d4), d)
             self._c = None if d != 1 and t1 is t2 is t3 is t4 else (real, imag, dual, dual_imag)
-        elif t1 in _SCALARS and t2 in _SCALARS and t3 in _SCALARS and t4 in _SCALARS:
-            self._c, self._form = (real, imag, dual, dual_imag), False
         else:
             shown = ", ".join(type(c).__name__ for c in (real, imag, dual, dual_imag))
-            raise TypeError(f"DualComplex coefficients must be int, Fraction or QuadExt, got ({shown})")
+            raise TypeError(f"DualComplex coefficients must be int or Fraction, got ({shown})")
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not DualComplex:
             return NotImplemented
-        form, other_form = self._form, other._form
-        if form and other_form:
-            return form == other_form  # canonical, so equal values have equal forms
-        return self.coefficients() == other.coefficients()
+        return self._form == other._form  # canonical, so equal values have equal forms
 
     def __hash__(self) -> int:
         return hash(self.coefficients())
@@ -214,50 +204,35 @@ class DualComplex(_Record):
     def __add__(self, other: "DualComplex") -> "DualComplex":
         if not isinstance(other, DualComplex):
             return NotImplemented
-        form, other_form = self._form, other._form
-        if form and other_form:
-            return _sum(form, other_form, add)
-        return DualComplex(*map(add, self.coefficients(), other.coefficients()))
+        return _sum(self._form, other._form, add)
 
     def __sub__(self, other: "DualComplex") -> "DualComplex":
         if not isinstance(other, DualComplex):
             return NotImplemented
-        form, other_form = self._form, other._form
-        if form and other_form:
-            return _sum(form, other_form, sub)
-        return DualComplex(*map(sub, self.coefficients(), other.coefficients()))
+        return _sum(self._form, other._form, sub)
 
     def __neg__(self) -> "DualComplex":
         return self.scale(-1)
 
     def scale(self, s: Any) -> "DualComplex":
-        """s * w for an int, Fraction or QuadExt s; a float or bool raises TypeError.
+        """s * w for an int or Fraction s; anything else, a float, a bool or a QuadExt, raises TypeError.
 
-        An integral Fraction scales as its int numerator, as positive_k takes k.
+        The result is read off its form, so an integral Fraction scales as its int numerator.
         """
-        kind = type(s)
-        if kind not in _SCALARS:
-            raise TypeError(f"cannot scale a DualComplex by {kind.__name__}")
-        if kind is Fraction and s.denominator == 1:
-            s, kind = s.numerator, int
-        form = kind in _EXACT and self._form
-        if form:
-            n1, n2, n3, n4, d = form
-            p = s.numerator
-            return _over(p * n1, p * n2, p * n3, p * n4, s.denominator * d)
-        return DualComplex(*[s * c for c in self.coefficients()])
+        if type(s) not in _EXACT:
+            raise TypeError(f"cannot scale a DualComplex by {type(s).__name__}")
+        n1, n2, n3, n4, d = self._form
+        p = s.numerator
+        return _over(p * n1, p * n2, p * n3, p * n4, s.denominator * d)
 
     def __mul__(self, other: Any) -> "DualComplex":
         if not isinstance(other, DualComplex):
             return self.scale(other)
-        # Over Q the formula runs on the operands' cleared forms, in int.
-        form, other_form = self._form, other._form
-        if form and other_form:
-            a1, a2, a3, a4, da = form
-            b1, b2, b3, b4, db = other_form
-            n1, n2, n3, n4 = _product(a1, a2, a3, a4, b1, b2, b3, b4)
-            return _over(n1, n2, n3, n4, da * db)
-        return DualComplex(*_product(*self.coefficients(), *other.coefficients()))
+        # (a1 + a2 i + a3 eps + a4 i eps)(b1 + b2 i + b3 eps + b4 i eps) on the cleared forms, in int
+        a1, a2, a3, a4, da = self._form
+        b1, b2, b3, b4, db = other._form
+        return _over(a1 * b1 - a2 * b2, a1 * b2 + a2 * b1, a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2,
+                     a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2, da * db)
 
     def __rmul__(self, other: Any) -> "DualComplex":
         return self.scale(other)
@@ -266,7 +241,7 @@ class DualComplex(_Record):
         """Quotient q with q * other == self; other needs a nonzero complex part.
 
         other times its dual-complex conjugate c is the real |z1|^2 of its
-        complex part z1, so q = self * c / (other * c), on every scalar ring.
+        complex part z1, so q = self * c / (other * c).
         """
         if not isinstance(other, DualComplex):
             return NotImplemented
@@ -274,25 +249,25 @@ class DualComplex(_Record):
         return (self * c).scale(Fraction(1) / (other * c).real)
 
     def conjugate(self, kind: Conjugation) -> "DualComplex":
+        """The conjugate of the given kind, on the cleared form (a, b, c, e)/D.
+
+        The dual-complex conjugate is (aN, -bN, x, y)/(D N) with N = |Z1|^2
+        for Z1 = D z1, and raises NonInvertibleError when z1 = 0; the other
+        four are signed permutations of the form's numerators.
+        """
+        a, b, c, e, den = self._form
         if kind is not Conjugation.DUAL_COMPLEX:
-            # a signed permutation of the form's numerators, or of a QuadExt value's coefficients
-            move, form = _MOVES[kind], self._form
-            if not form:
-                return DualComplex(*move(*self._c))
             w = object.__new__(DualComplex)
-            w._c, w._form = None, (*move(form[0], form[1], form[2], form[3]), form[4])
+            w._c, w._form = None, (*_MOVES[kind](a, b, c, e), den)
             return w
-        # Over Q on the cleared form (a, b, c, e)/D, so the result is
-        # (aN, -bN, x, y)/(D N) with N = |Z1|^2 for Z1 = D z1.
-        form = self._form
-        if form:
-            a, b, c, e, den = form
-            x, y, n = _conjugate_eps(a, b, c, e)
-            return _over(a * n, -b * n, x, y, den * n)
-        r, i, d, di = self._c  # a QuadExt value, so it holds its coefficients
-        x, y, n = _conjugate_eps(r, i, d, di)
-        inv = Fraction(1) / n
-        return DualComplex(r, -i, x * inv, y * inv)
+        # conj(w) = z1* (1 - eps z2/z1) = z1* - eps z2 (z1*)^2 / |z1|^2, here with
+        # Z1 = a + bi, Z2 = c + ei and (Z1*)^2 = c0 + c1 i, so x + yi = -Z2 (Z1*)^2
+        aa, bb = a * a, b * b
+        n = aa + bb
+        if not n:
+            raise NonInvertibleError("dual-complex conjugation and division need a nonzero complex part")
+        c0, c1 = aa - bb, -2 * a * b
+        return _over(a * n, -b * n, e * c1 - c * c0, -(c * c1 + e * c0), den * n)
 
     def norm_product(self, kind: Conjugation) -> "DualComplex":
         """The exact product w * conj(w) whose square root would be the norm."""
@@ -340,16 +315,6 @@ def _sum(fa: tuple, fb: tuple, op: Any) -> DualComplex:
     return _over(op(a1 * x, b1 * y), op(a2 * x, b2 * y), op(a3 * x, b3 * y), op(a4 * x, b4 * y), d)
 
 
-def _product(a1: Any, a2: Any, a3: Any, a4: Any, b1: Any, b2: Any, b3: Any, b4: Any) -> tuple:
-    """The four coefficients of (a1 + a2 i + a3 eps + a4 i eps)(b1 + b2 i + b3 eps + b4 i eps)."""
-    return (
-        a1 * b1 - a2 * b2,
-        a1 * b2 + a2 * b1,
-        a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2,
-        a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2,
-    )
-
-
 _JSON_KEYS = ("one", "i", "eps", "ieps")
 
 _MOVES = {
@@ -358,23 +323,6 @@ _MOVES = {
     Conjugation.COUPLED: lambda r, i, d, di: (r, -i, -d, di),
     Conjugation.ANTI_DUAL: lambda r, i, d, di: (d, di, -r, -i),
 }
-
-
-def _conjugate_eps(a: Any, b: Any, c: Any, e: Any) -> tuple:
-    """(x, y, n) with conj(w) = z1* + eps (x + yi)/n for z1 = a + bi, z2 = c + ei.
-
-    For w = z1 + eps z2, conj(w) = z1* (1 - eps z2/z1) = z1* - eps z2 (z1*)^2 / |z1|^2,
-    so n = |z1|^2 and x + yi = -z2 (z1*)^2, with (z1*)^2 = c0 + c1 i. n = 0 raises
-    NonInvertibleError.
-    """
-    aa, bb = a * a, b * b
-    n = aa + bb
-    if not n:
-        raise NonInvertibleError(
-            "dual-complex conjugation and division need a nonzero complex part"
-        )
-    c0, c1 = aa - bb, -2 * a * b
-    return e * c1 - c * c0, -(c * c1 + e * c0), n
 
 
 DC_ZERO = DualComplex(0, 0, 0, 0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dualcomplex import DualComplex, _FrozenRecord
-from .scalars import QuadExt, make_alpha_beta, rationalize
+from .scalars import positive_k
 from .sequences import Family, _cleared_roots, dc_number, terms
 
 
@@ -39,12 +39,17 @@ def build_quaternion(family: Family, k: Fraction | int, n: int) -> PellQuaternio
 
 
 def hat_pair(k: Fraction | int) -> tuple[DualComplex, DualComplex]:
-    """The pair (1 + i r + eps r^2 + i eps r^3) for each characteristic root r.
+    """(X, Y) over Q with hat(r) = 1 + i r + eps r^2 + i eps r^3 = X +/- sqrt(1+k) Y.
 
-    Coefficients live in Q(sqrt(1+k)); these are the constant companions of
-    alpha^n and beta^n in the quaternion-level closed form.
+    hat(alpha) and hat(beta), for the characteristic roots r = 1 +/- t,
+    t = sqrt(1+k), are the constant companions of alpha^n and beta^n in the
+    quaternion-level closed form. Slot j of X and Y holds x_j and y_j of the
+    power r^j = x_j +/- y_j t, taken formally with t^2 = 1+k, so a square
+    1+k folds nothing: (1 + t)^2 = (2+k) + 2t, (1 + t)^3 = (4+3k) + (4+k)t.
+    The coefficients are ints at integer k.
     """
-    return tuple(DualComplex(QuadExt(1, 0, r.d), r, r * r, r * r * r) for r in make_alpha_beta(k))
+    d = 1 + positive_k(k)
+    return DualComplex(1, 1, 1 + d, 1 + 3 * d), DualComplex(0, 1, 2, 3 + d)
 
 
 def binet_quaternion(k: Fraction | int, n: int) -> DualComplex:
@@ -70,15 +75,14 @@ def gamma_closed(k: Fraction | int) -> DualComplex:
 
 
 def gamma_coefficient(k: Fraction | int) -> DualComplex:
-    """The product hat_alpha * hat_beta, collapsed to rational coefficients.
+    """The product hat(alpha) hat(beta) = (X + tY)(X - tY) = X X - (1+k) Y Y of hat_pair's (X, Y).
 
     The expansion is asserted against gamma_closed before returning; a
     mismatch would mean the closed polynomial no longer matches the root
     product and is reported as an internal error.
     """
-    ha, hb = hat_pair(k)
-    product = ha * hb
-    value = DualComplex(*(rationalize(c) for c in product.coefficients()))
+    x, y = hat_pair(k)
+    value = x * x - (y * y).scale(1 + k)
     expected = gamma_closed(k)
     if value != expected:
         raise RuntimeError(

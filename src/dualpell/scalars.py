@@ -2,10 +2,14 @@
 
 Rationals are stdlib ``fractions.Fraction`` values (always reduced, positive
 denominator, exact equality). ``QuadExt`` adds a single square root over
-int or Fraction coefficients so the characteristic roots 1 +/- sqrt(1+k) of
-x^2 = 2x + k can be manipulated exactly (the Binet forms run on int pairs
-instead, in sequences._cleared_roots); a radicand that is a perfect rational
-square is folded away, so equality stays coefficient-wise decidable.
+int or Fraction coefficients, a + b sqrt(d); a radicand that is a perfect
+rational square is folded away, so equality stays coefficient-wise
+decidable. No command builds one: a DualComplex takes rational coefficients
+only, the Binet forms run on int pairs (sequences._cleared_roots) and the
+Binet constants on rational pairs (quaternions.hat_pair). QuadExt is the
+tests' reference ring for the roots 1 +/- sqrt(1+k) of x^2 = 2x + k
+(``make_alpha_beta``), and ``rationalize`` reads a radical-free one back as
+a Fraction.
 """
 
 from __future__ import annotations
@@ -66,10 +70,11 @@ class QuadExt:
     inputs stay in int arithmetic; anything else, a float or a bool above all,
     raises TypeError. Two elements may be combined only when their radicands
     agree (ints and Fractions are coerced); with any other operand +, -, * and /
-    return NotImplemented, so a DualComplex takes its reflected turn and a float
-    or bool raises TypeError. If d is a perfect rational square the value
-    normalizes to b = 0, so structural equality is mathematical equality in
-    the degenerate case too. Immutable by convention.
+    return NotImplemented, so a DualComplex takes its reflected turn, which
+    turns a QuadExt away, and a float or bool raises TypeError. If d is a
+    perfect rational square the value normalizes to b = 0, so structural
+    equality is mathematical equality in the degenerate case too. Immutable
+    by convention.
     """
 
     __slots__ = ("a", "b", "d")
@@ -193,10 +198,6 @@ class QuadExt:
         if self.b == 0:
             return str(self.a)
         return f"{self.a} + {self.b}*sqrt({self.d})"
-
-
-# The scalar types a DualComplex coefficient may have, tested by exact type.
-_SCALARS = (*_EXACT, QuadExt)
 
 
 def positive_k(k: Fraction | int) -> Fraction | int:

@@ -44,6 +44,18 @@ def table_mul(x: DualComplex, y: DualComplex) -> DualComplex:
     return DualComplex(*acc)
 
 
+def dual_complex_conjugate(w: DualComplex) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """z1* - eps z2 (z1*)^2 / |z1|^2 for w = z1 + eps z2, slot by slot in plain Fraction arithmetic.
+
+    The reference for Conjugation.DUAL_COMPLEX: it reads w's coefficients,
+    never its cleared form, and divides each eps slot by |z1|^2 as a Fraction.
+    """
+    r, i, d, di = map(Fraction, w.coefficients())
+    norm = r * r + i * i
+    sq_re, sq_im = r * r - i * i, -2 * r * i  # (z1*)^2
+    return r, -i, -(d * sq_re - di * sq_im) / norm, -(d * sq_im + di * sq_re) / norm
+
+
 def random_rational(rng: random.Random, magnitude: int = 10**6) -> Fraction:
     return Fraction(rng.randint(-magnitude, magnitude), rng.randint(1, 1000))
 

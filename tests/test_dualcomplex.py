@@ -23,7 +23,7 @@ from dualpell import (
     NonInvertibleError,
     QuadExt,
 )
-from support import SEEDED, random_dc, table_mul
+from support import SEEDED, dual_complex_conjugate, random_dc, table_mul
 
 
 def dc(one, i=0, eps=0, ieps=0):
@@ -221,8 +221,8 @@ def test_repr_hash_and_equality_contract():
     assert repr(w) == "DualComplex(real=1, imag=2, dual=3, dual_imag=4)"
     assert hash(w) == hash(w.coefficients())
     assert w != (1, 2, 3, 4)
-    assert w == DualComplex(Fraction(1), 2, QuadExt(3, 0, 2), 4)
-    assert hash(w) == hash(DualComplex(Fraction(1), 2, QuadExt(3, 0, 2), 4))
+    assert w == DualComplex(Fraction(1), 2, Fraction(3), 4)
+    assert hash(w) == hash(DualComplex(Fraction(1), 2, Fraction(3), 4))
     # a value holding its cleared form shows only the four fields
     half = dc(1, 2, 3, 4).scale(Fraction(1, 2))
     assert half._form == (1, 2, 3, 4, 2)
@@ -236,7 +236,7 @@ def test_repr_hash_and_equality_contract():
     assert tuple(inspect.signature(DualComplex).parameters) == names
 
 
-VALUES = [DualComplex(1, Fraction(-2, 3), QuadExt(1, 2, 3), 4), QuadExt(Fraction(1, 2), -3, 5)]
+VALUES = [DualComplex(1, Fraction(-2, 3), Fraction(1, 2), 4), QuadExt(Fraction(1, 2), -3, 5)]
 
 
 @pytest.mark.parametrize("value", VALUES + [dc(1, 2, 3, 4).scale(Fraction(1, 6)),
@@ -275,7 +275,7 @@ FORM_ONLY = {
 
 def unread(w):
     """True while w holds its form alone: no coefficient has been read or built."""
-    return bool(w._form) and w._c is None
+    return w._c is None
 
 
 @pytest.mark.parametrize("make", FORM_ONLY.values(), ids=FORM_ONLY)
@@ -314,10 +314,10 @@ def test_an_int_value_holds_its_form_with_d_1_and_given_coefficients_keep_their_
     assert given.coefficients() == (2, 0, 1, 0) and type(given.real) is Fraction
     assert given == value and given._form == value._form
     assert type(given.real) is Fraction and type(given.imag) is int
-    quad = DualComplex(QuadExt(1, 1, 2), 0, 1, 0)
     made = [value * value, value - value, -value, value.conjugate(Conjugation.ANTI_DUAL), value * given,
-            value.scale(Fraction(1, 2)), quad, quad * value, *(make() for make in FORM_ONLY.values())]
-    assert all(w._form is not None for w in made)
+            value.scale(Fraction(1, 2)), given, *(make() for make in FORM_ONLY.values())]
+    for w in made:  # every value holds its cleared form, whatever made it
+        assert type(w._form) is tuple and len(w._form) == 5 and all(type(n) is int for n in w._form), w
 
 
 @pytest.mark.parametrize("coefficients, form, kept", [
@@ -337,7 +337,6 @@ def test_a_value_over_q_is_cleared_when_made(coefficients, form, kept):
         assert w._c == coefficients and all(type(a) is type(b) for a, b in zip(w._c, coefficients))
     read = w.coefficients()
     assert read == coefficients and all(type(a) is type(b) for a, b in zip(read, coefficients))
-    assert DualComplex(QuadExt(1, 1, 2), *coefficients[1:])._form is False
 
 
 @pytest.mark.parametrize("coefficients", [(Fraction(2), 0, Fraction(3), 1),
@@ -370,7 +369,7 @@ def test_operations_leave_operands_unchanged():
     sample += [DualComplex(*(rng.randint(-9, 9) for _ in range(4))) for _ in range(40)]
     for a, b in zip(sample, reversed(sample)):
         before = (a.coefficients(), b.coefficients())
-        results = [a + b, a - b, -a, a * b, a.scale(Fraction(3, 7)), a.scale(QuadExt(1, 1, 2))]
+        results = [a + b, a - b, -a, a * b, a.scale(Fraction(3, 7))]
         if not b.has_zero_complex_part():
             results.append(a / b)
         for kind in Conjugation:
@@ -386,26 +385,21 @@ COEFFICIENTS = {
     "int": small_ints,
     "Fraction": small_fractions,
     "mixed": st.one_of(small_ints, small_fractions),
-    "QuadExt": st.one_of(small_ints, small_fractions,
-                         st.builds(QuadExt, small_fractions, small_fractions, st.just(2))),
 }
 operands = st.sampled_from(sorted(COEFFICIENTS)).flatmap(
     lambda kind: st.tuples(*[COEFFICIENTS[kind]] * 4).map(lambda c: DualComplex(*c))
 )
-scalars = st.one_of(small_ints, small_fractions, st.just(QuadExt(1, 1, 2)))
+scalars = st.one_of(small_ints, small_fractions)
 OPS = ("+", "-", "neg", "scale", "*", "/", *Conjugation)
 
 
 def reference_conjugate(w, kind):
     """conj(w) slot by slot in the coefficients' own arithmetic, from the Conjugation table."""
+    if kind is Conjugation.DUAL_COMPLEX:
+        return dual_complex_conjugate(w)
     r, i, d, di = w.coefficients()
-    if kind is not Conjugation.DUAL_COMPLEX:
-        return {Conjugation.COMPLEX: (r, -i, d, -di), Conjugation.DUAL: (r, i, -d, -di),
-                Conjugation.COUPLED: (r, -i, -d, di), Conjugation.ANTI_DUAL: (d, di, -r, -i)}[kind]
-    # z1* - eps z2 (z1*)^2 / |z1|^2
-    inv = Fraction(1) / (r * r + i * i)
-    sq_re, sq_im = r * r - i * i, -2 * r * i
-    return r, -i, -(d * sq_re - di * sq_im) * inv, -(d * sq_im + di * sq_re) * inv
+    return {Conjugation.COMPLEX: (r, -i, d, -di), Conjugation.DUAL: (r, i, -d, -di),
+            Conjugation.COUPLED: (r, -i, -d, di), Conjugation.ANTI_DUAL: (d, di, -r, -i)}[kind]
 
 
 def reference(op, x, y, s):
@@ -450,15 +444,11 @@ def test_chained_operations_match_plain_references(start, steps):
         rebuilt = DualComplex(*result.coefficients())
         assert result == rebuilt and rebuilt.scale(1) == result and result != result + DC_ONE
         assert hash(result) == hash(rebuilt) and repr(result) == repr(rebuilt)
-        if result._form:
-            *numerators, d = result._form
-            assert math.gcd(*numerators, d) == 1
-            assert result.coefficients() == tuple(Fraction(n, d) for n in numerators)
-        inputs = value.coefficients()
-        inputs += other.coefficients() if op in ("+", "-", "*", "/") else (s,) if op == "scale" else ()
-        if QuadExt not in map(type, inputs):
-            if all(c.denominator == 1 for c in result.coefficients()):
-                assert all(type(c) is int for c in result.coefficients()), (op, result)
+        *numerators, d = result._form
+        assert math.gcd(*numerators, d) == 1
+        assert result.coefficients() == tuple(Fraction(n, d) for n in numerators)
+        if d == 1:
+            assert all(type(c) is int for c in result.coefficients()), (op, result)
         value, plain = result, expected
 
 
@@ -474,15 +464,12 @@ def test_unread_results_feed_the_next_kernel(start, steps):
         divisor = plain_other if op == "/" else plain
         if op in ("/", Conjugation.DUAL_COMPLEX) and divisor.has_zero_complex_part():
             op = "+"
-        inputs = plain.coefficients()
-        inputs += plain_other.coefficients() if op in ("+", "-", "*", "/") else (s,) if op == "scale" else ()
         was_unread = [w for w in (value, other) if unread(w)]
         result = apply(op, value, other, s)
         assert type(result) is DualComplex
-        if QuadExt not in map(type, inputs):
-            # over Q the kernels read forms; only the QuadExt route reads coefficients
-            assert all(unread(w) for w in was_unread), op
-            assert not result._form or unread(result), op
+        # the kernels read forms, never coefficients
+        assert all(unread(w) for w in was_unread), op
+        assert unread(result), op
         history.append((result, DualComplex(*reference(op, plain, plain_other, s))))
     for result, expected in history:
         assert result == expected and expected == result

@@ -20,6 +20,7 @@ from dualpell import (
     binet_quaternion,
     dc_number,
     gamma_closed,
+    gamma_coefficient,
     hat_pair,
     identity_sides,
     make_alpha_beta,
@@ -46,6 +47,8 @@ FLOAT_K_ENTRIES = {
     "make_alpha_beta": make_alpha_beta,
     "seq_prefix_sum": lambda k: seq_prefix_sum(k, 3),
     "gamma_closed": gamma_closed,
+    "hat_pair": hat_pair,
+    "gamma_coefficient": gamma_coefficient,
     "identity_sides": lambda k: identity_sides(IdentityId.G18, {"k": k, "n": 2}),
     "sweep": lambda k: sweep(
         SweepConfig((IdentityId.G9,), (k,), (0, 1), (0, 0), (1, 1))
@@ -210,9 +213,8 @@ def test_integer_k_closed_forms_stay_int():
         for n in range(12):
             for c in (alpha**n, beta**n):
                 assert (type(c.a), type(c.b), type(c.d)) == (int, int, int), (k, n, c)
-        for hat in hat_pair(k):
-            for c in hat.coefficients():
-                assert (type(c.a), type(c.b), type(c.d)) == (int, int, int), (k, c)
+        for half in hat_pair(k):  # X and Y of hat(alpha), hat(beta) = X +/- sqrt(1+k) Y
+            assert all(type(c) is int for c in half.coefficients()), (k, half)
     # the cleared roots q +/- sqrt(q(p+q)) the Binet forms run on: q, the radicand q(p+q)
     # and every component of the int-pair powers at any n stay int at rational k too
     for k in (2, Fraction(3, 2), Fraction(22, 7), Fraction(5, 4)):
@@ -273,22 +275,20 @@ def test_dual_complex_scales_by_exact_scalars():
     w = DualComplex(1, 2, 3, 4)
     assert w * 2 == 2 * w == w.scale(2) == DualComplex(2, 4, 6, 8)
     assert w * Fraction(1, 2) == DualComplex(Fraction(1, 2), 1, Fraction(3, 2), 2)
-    assert w.scale(QuadExt(3, 0, 2)) == DualComplex(3, 6, 9, 12)
-
-
-def test_quadext_times_dual_complex_is_the_dual_complex_scaled():
-    # QuadExt declines a DualComplex operand, so DualComplex.__rmul__ takes its turn
-    w = DualComplex(1, 2, 3, 4)
-    for s in (QuadExt(3, 0, 2), QuadExt(1, 1, 2)):
-        assert s * w == w * s == w.scale(s)
+    # a QuadExt is no scalar of a DualComplex, a rational one included; QuadExt declines a
+    # DualComplex operand, so DualComplex.__rmul__ takes its turn and turns it away
+    for scaled in (lambda: w.scale(QuadExt(3, 0, 2)), lambda: w * QuadExt(1, 1, 2),
+                   lambda: QuadExt(1, 1, 2) * w):
+        with pytest.raises(TypeError, match="cannot scale a DualComplex by QuadExt"):
+            scaled()
 
 
 @pytest.mark.parametrize("slot", range(4))
-@pytest.mark.parametrize("bad", [0.5, 2.0, True])
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, QuadExt(1, 1, 2)], ids=repr)
 def test_dual_complex_constructor_rejects_inexact_coefficient(slot, bad):
-    values = [1, Fraction(1, 2), QuadExt(1, 1, 2), 3]
+    values = [1, Fraction(1, 2), Fraction(-3), 3]
     values[slot] = bad
-    with pytest.raises(TypeError, match="int, Fraction or QuadExt"):
+    with pytest.raises(TypeError, match="must be int or Fraction"):
         DualComplex(*values)
 
 

@@ -82,10 +82,15 @@ def test_quaternion_recurrence():
 
 
 def test_hat_pair_shape():
-    alpha, beta = make_alpha_beta(2)
-    ha, hb = hat_pair(2)
-    assert ha.coefficients() == (1, alpha, alpha**2, alpha**3)
-    assert hb.coefficients() == (1, beta, beta**2, beta**3)
+    # hat(alpha), hat(beta) = X +/- sqrt(1+k) Y, slot j holding the power r^j of each root;
+    # at k = 3, 8, 5/4 and 7/9 the radicand 1+k is a square, which X and Y must not fold
+    for k in (2, 3, 8, Fraction(5, 4), Fraction(7, 9), Fraction(22, 7)):
+        alpha, beta = make_alpha_beta(k)
+        x, y = hat_pair(k)
+        for j, (xj, yj) in enumerate(zip(x.coefficients(), y.coefficients())):
+            assert QuadExt(xj, yj, alpha.d) == alpha**j and QuadExt(xj, -yj, alpha.d) == beta**j, (k, j)
+        if type(k) is int:
+            assert all(type(c) is int for c in x.coefficients() + y.coefficients()), k
 
 
 def test_binet_quaternion_base_case():
@@ -148,6 +153,8 @@ def test_no_binet_evaluation_builds_a_quad_ext(monkeypatch, capsys):
         for level in ("number", "quaternion"):
             assert cli.main(["binet", "--k", str(k), "--n", "9", "--level", level]) == 0, (k, level)
             assert json.loads(capsys.readouterr().out)["consistent"] is True
+        hat_pair(k)  # the Binet constants are rational pairs X, Y, never QuadExt values
+        assert gamma_coefficient(k) == gamma_closed(k), k
     reports = sweep(SweepConfig(ids, ks, (0, 6), (0, 0), (1, 1)))
     assert [r.verdict for r in reports] == [Verdict.HOLDS, Verdict.HOLDS]
 
@@ -158,7 +165,7 @@ def test_gamma_fixtures():
 
 
 def test_gamma_internal_assertion_over_k():
-    for k in list(range(1, 11)) + [Fraction(1, 2), Fraction(22, 7)]:
+    for k in list(range(1, 11)) + [Fraction(1, 2), Fraction(22, 7), Fraction(5, 4), Fraction(7, 9)]:
         assert terms(k).gamma == gamma_closed(k) == gamma_coefficient(k)
 
 
