@@ -199,7 +199,7 @@ class DualComplex(_Record):
         return c
 
     def has_zero_complex_part(self) -> bool:
-        return not self.real and not self.imag
+        return not self._form[0] and not self._form[1]
 
     def __add__(self, other: "DualComplex") -> "DualComplex":
         if not isinstance(other, DualComplex):
@@ -241,12 +241,14 @@ class DualComplex(_Record):
         """Quotient q with q * other == self; other needs a nonzero complex part.
 
         other times its dual-complex conjugate c is the real |z1|^2 of its
-        complex part z1, so q = self * c / (other * c).
+        complex part z1, so q = self * c / (other * c): self * c scaled by D / N for
+        the form (N, 0, 0, 0, D) of other * c.
         """
         if not isinstance(other, DualComplex):
             return NotImplemented
         c = other.conjugate(Conjugation.DUAL_COMPLEX)
-        return (self * c).scale(Fraction(1) / (other * c).real)
+        n, _, _, _, d = (other * c)._form
+        return (self * c).scale(Fraction(d, n))
 
     def conjugate(self, kind: Conjugation) -> "DualComplex":
         """The conjugate of the given kind, on the cleared form (a, b, c, e)/D.

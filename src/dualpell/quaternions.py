@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .dualcomplex import DualComplex, _FrozenRecord
 from .scalars import positive_k
-from .sequences import Family, _cleared_roots, dc_number, terms
+from .sequences import Family, _binet_row, dc_number, terms
 
 
 class PellQuaternion(_FrozenRecord):
@@ -56,17 +56,10 @@ def binet_quaternion(k: Fraction | int, n: int) -> DualComplex:
     """Closed form (hat_alpha * alpha^n - hat_beta * beta^n) / (alpha - beta), any integer n.
 
     Exact, with Fraction coefficients; equals build_quaternion(K_PELL, k, n).value.
-    Slot j of hat(rho) a - hat(rho_bar) b is a rho^j - b rho_bar^j, cleared P_{n+j},
-    on the int-pair powers a, b at n of the cleared roots rho, rho_bar = q +/- sqrt(q(p+q))
-    of k = p/q, stepped by rho and rho_bar in int and divided once at the end
-    (the power rule is sequences._cleared_roots).
+    Slot j of hat(rho) a - hat(rho_bar) b is a rho^j - b rho_bar^j, so the four
+    slots are sequences._binet_row(k, n, 4), one Fraction each.
     """
-    q, d, (ax, ay), (bx, by), unclear = _cleared_roots(k, n)
-    slots = [unclear(ax - bx, ay - by, 0)]
-    for j in (1, 2, 3):  # a times rho = q + sqrt(d), b times rho_bar = q - sqrt(d)
-        ax, ay, bx, by = ax * q + ay * d, ax + ay * q, bx * q - by * d, by * q - bx
-        slots.append(unclear(ax - bx, ay - by, j))
-    return DualComplex(*slots)
+    return DualComplex(*_binet_row(k, n, 4))
 
 
 def gamma_closed(k: Fraction | int) -> DualComplex:

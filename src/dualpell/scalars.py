@@ -5,7 +5,7 @@ denominator, exact equality). ``QuadExt`` adds a single square root over
 int or Fraction coefficients, a + b sqrt(d); a radicand that is a perfect
 rational square is folded away, so equality stays coefficient-wise
 decidable. No command builds one: a DualComplex takes rational coefficients
-only, the Binet forms run on int pairs (sequences._cleared_roots) and the
+only, the Binet forms run on int pairs (sequences._binet_row) and the
 Binet constants on rational pairs (quaternions.hat_pair). QuadExt is the
 tests' reference ring for the roots 1 +/- sqrt(1+k) of x^2 = 2x + k
 (``make_alpha_beta``), and ``rationalize`` reads a radical-free one back as

@@ -232,39 +232,40 @@ def _pair_power(x: int, y: int, d: int, e: int) -> tuple[int, int]:
     return (sx * x + sy * y * d, sx * y + sy * x) if e & 1 else (sx, sy)
 
 
-def _cleared_roots(k: Fraction | int, n: int) -> tuple:
-    """(q, d, a, b, unclear): the Binet power rule at any integer n, for k = p/q.
+def _binet_row(k: Fraction | int, n: int, count: int) -> list[Fraction]:
+    """[P_n, ..., P_{n+count-1}] as Fractions by the Binet power rule, any integer n, for k = p/q.
 
     rho, rho_bar = q +/- sqrt(d), d = q(p+q), are q alpha and q beta. a, b are
     rho^n, rho_bar^n for n >= 0 and, as rho rho_bar = -pq, (-rho_bar)^-n, (-rho)^-n
     for n < 0: int pairs (x, y) for x + y sqrt(d), taken in Z[t]/(t^2 - d), so a
-    square d folds nothing. x + y sqrt(d) = a rho^j - b rho_bar^j has x = 0 and
-    y = 2 q^(j-1) q^max(n,0) p^max(-n,0) P_{n+j}; unclear(x, y, j) turns it into
-    the Fraction P_{n+j} with one gcd. Checks n, then k > 0.
+    square d folds nothing. Slot j is x + y sqrt(d) = a rho^j - b rho_bar^j, a and b
+    stepped by rho and rho_bar in int: x = 0 and y = 2 q^(j-1) q^max(n,0) p^max(-n,0)
+    P_{n+j}, read as one Fraction with one gcd. Checks n, then k > 0.
     """
     n = exact_index(n)
     k = positive_k(k)
     p, q = k.numerator, k.denominator
     d = q * (p + q)
     den, s = (2 * q**n, q) if n >= 0 else (2 * p**-n, -q)  # s +/- t: rho, rho_bar or -rho_bar, -rho
-    a, b = _pair_power(s, 1, d, abs(n)), _pair_power(s, -1, d, abs(n))
-
-    def unclear(x: int, y: int, j: int) -> Fraction:
+    (ax, ay), (bx, by) = _pair_power(s, 1, d, abs(n)), _pair_power(s, -1, d, abs(n))
+    row = []
+    for j in range(count):
+        if j:  # a times rho = q + sqrt(d), b times rho_bar = q - sqrt(d)
+            ax, ay, bx, by = ax * q + ay * d, ax + ay * q, bx * q - by * d, by * q - bx
+        x, y = ax - bx, ay - by
         if x:
             raise ValueError(f"Binet numerator {x} + {y}*sqrt({d}) is not a multiple of sqrt({d})")
-        return Fraction(q * y, den * q**j)
-
-    return q, d, a, b, unclear
+        row.append(Fraction(q * y, den * q**j))
+    return row
 
 
 def seq_binet(k: Fraction | int, n: int) -> Fraction:
     """P_{k,n} evaluated as (alpha^n - beta^n) / (alpha - beta), as a Fraction, any integer n.
 
-    It runs on the int-pair powers a, b of the cleared roots q +/- sqrt(q(p+q))
-    of k = p/q at n and divides once at the end (the power rule is _cleared_roots).
+    It is slot 0 of _binet_row, on the int-pair powers of the cleared roots
+    q +/- sqrt(q(p+q)) of k = p/q, divided once at the end.
     """
-    _, _, (ax, ay), (bx, by), unclear = _cleared_roots(k, n)
-    return unclear(ax - bx, ay - by, 0)
+    return _binet_row(k, n, 1)[0]
 
 
 def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:

@@ -306,6 +306,20 @@ def test_a_value_holding_its_form_alone_matches_its_eager_rebuild(make):
             pytest.fail("a DualComplex pattern did not match")
 
 
+def test_the_zero_test_and_division_read_forms_alone(monkeypatch):
+    """has_zero_complex_part and / answer from the forms, building no coefficient."""
+    v, zero = dc(1, 2, 3, 4).scale(Fraction(1, 6)), dc(0, 0, 3, 4).scale(Fraction(1, 6))
+    w = dc(Fraction(1, 2), 1, 3).scale(Fraction(2, 7))
+    assert v.has_zero_complex_part() is False and zero.has_zero_complex_part() is True
+    assert unread(v) and unread(zero)
+    monkeypatch.setattr(DualComplex, "coefficients", lambda self: pytest.fail(f"{self._form} was read"))
+    quotient = w / v
+    with pytest.raises(NonInvertibleError):
+        w / zero
+    monkeypatch.undo()
+    assert unread(w) and unread(v) and unread(quotient) and quotient * v == w
+
+
 def test_an_int_value_holds_its_form_with_d_1_and_given_coefficients_keep_their_type():
     value = DualComplex(2, 0, 1, 0)
     assert value._form == (2, 0, 1, 0, 1) and value._c is None

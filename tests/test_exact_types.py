@@ -36,7 +36,7 @@ from dualpell import (
     terms,
 )
 from dualpell.identities import IdentityId
-from dualpell.sequences import _cleared_roots
+from dualpell import sequences
 
 FLOAT_K_ENTRIES = {
     "pell_term": lambda k: pell_term(k, 3),
@@ -207,7 +207,7 @@ def test_quadext_rejects_inexact_operand(op, bad):
         op(QuadExt(1, 1, 2), bad)
 
 
-def test_integer_k_closed_forms_stay_int():
+def test_integer_k_closed_forms_stay_int(monkeypatch):
     for k in (1, 2, 3, 4, 8):
         alpha, beta = make_alpha_beta(k)
         for n in range(12):
@@ -215,12 +215,25 @@ def test_integer_k_closed_forms_stay_int():
                 assert (type(c.a), type(c.b), type(c.d)) == (int, int, int), (k, n, c)
         for half in hat_pair(k):  # X and Y of hat(alpha), hat(beta) = X +/- sqrt(1+k) Y
             assert all(type(c) is int for c in half.coefficients()), (k, half)
-    # the cleared roots q +/- sqrt(q(p+q)) the Binet forms run on: q, the radicand q(p+q)
-    # and every component of the int-pair powers at any n stay int at rational k too
+    # the cleared roots q +/- sqrt(q(p+q)) the Binet forms run on: every argument of the
+    # int-pair powers, the radicand q(p+q) included, and every component of each power the
+    # two forms take at any n stay int at rational k too; only the returned slots are Fractions
+    pair_power, seen = sequences._pair_power, []
+
+    def recording(*args):
+        power = pair_power(*args)
+        seen.append((args, power))
+        return power
+
+    monkeypatch.setattr(sequences, "_pair_power", recording)
     for k in (2, Fraction(3, 2), Fraction(22, 7), Fraction(5, 4)):
         for n in range(-11, 12):
-            q, d, a, b, _ = _cleared_roots(k, n)
-            assert [type(c) for c in (q, d, *a, *b)] == [int] * 6, (k, n, a, b)
+            seen.clear()
+            seq_binet(k, n)
+            binet_quaternion(k, n)
+            assert len(seen) >= 4 and all(type(c) is int for args, power in seen for c in (*args, *power)), \
+                (k, n, seen)
+            assert [type(c) for c in sequences._binet_row(k, n, 4)] == [Fraction] * 4, (k, n)
 
 
 def test_integer_k_terms_and_integral_products_hold_a_d_1_form_with_int_coefficients():

@@ -27,7 +27,7 @@ from dualpell import (
     sweep,
     terms,
 )
-from dualpell import cli
+from dualpell import cli, sequences
 from support import binet_over_alpha_beta
 
 
@@ -134,6 +134,30 @@ def test_binet_quaternion_at_negative_index_matches_dc_number():
         for n in (*range(-12, 0), -300, -65, -64, -63, 63, 64, 65, 300):
             assert binet_quaternion(k, n) == dc_number(Family.K_PELL, k, n), (k, n)
             assert seq_binet(k, n) == pell_term(k, n), (k, n)
+
+
+@pytest.mark.parametrize("skew, quaternion_only", [((1, 0), False), ((0, 1), True)],
+                         ids=["rational part", "radical part"])
+def test_binet_rejects_powers_that_are_not_conjugates(monkeypatch, skew, quaternion_only):
+    # b = rho_bar^n gets an extra rational part, which slot 0 already shows, or an extra
+    # radical part, which only the step to slot 1 turns into a rational one
+    pair_power = sequences._pair_power
+
+    def skewed(x, y, d, e):
+        px, py = pair_power(x, y, d, e)
+        return (px + skew[0], py + skew[1]) if y == -1 else (px, py)  # only b's base has y = -1
+
+    monkeypatch.setattr(sequences, "_pair_power", skewed)
+    message = r"^Binet numerator -?\d+ \+ -?\d+\*sqrt\((\d+)\) is not a multiple of sqrt\(\1\)$"
+    for k in (2, Fraction(5, 4)):
+        for n in (-3, 0, 5):
+            with pytest.raises(ValueError, match=message):
+                binet_quaternion(k, n)
+            if quaternion_only:
+                assert seq_binet(k, n) != pell_term(k, n), (k, n)
+            else:
+                with pytest.raises(ValueError, match=message):
+                    seq_binet(k, n)
 
 
 def test_no_binet_evaluation_builds_a_quad_ext(monkeypatch, capsys):
