@@ -10,17 +10,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dualcomplex import DualComplex, _FrozenRecord
-from .scalars import positive_k
-from .sequences import Family, _binet_row, dc_number, terms
+from .scalars import exact_index, positive_k
+from .sequences import Family, _binet_row, _checked_family, dc_number, terms
 
 
 class PellQuaternion(_FrozenRecord):
-    """Four consecutive family terms on the basis {1, i, eps, i*eps}."""
+    """Four consecutive family terms on the basis {1, i, eps, i*eps}.
+
+    The value must be a DualComplex, else TypeError; family, k and n take
+    SequenceSpec's and dc_number's checks, so an integral k is kept as an int.
+    """
 
     __slots__ = __match_args__ = ("value", "family", "k", "n")
 
     def __init__(self, value: DualComplex, family: Family, k: Fraction | int, n: int) -> None:
-        super().__init__(value, family, k, n)
+        if not isinstance(value, DualComplex):
+            raise TypeError(f"value must be a DualComplex, got {type(value).__name__}")
+        super().__init__(value, _checked_family(family), positive_k(k), exact_index(n))
 
     def scalar_part(self) -> Fraction | int:
         return self.value.real

@@ -14,7 +14,6 @@ a Fraction.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from fractions import Fraction
@@ -50,11 +49,10 @@ def render_rational(x: QuadExt | Fraction | int) -> str:
 _EXACT = (int, Fraction)
 
 
-@functools.cache
 def _rational_sqrt(x: Fraction | int) -> Fraction | int | None:
     """Exact square root of x > 0 if x is a square of a rational, else None.
 
-    Decided once per radicand: an int root comes back for an integral square.
+    An int root comes back for an integral square.
     """
     num = math.isqrt(x.numerator)
     den = math.isqrt(x.denominator)

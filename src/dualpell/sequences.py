@@ -13,6 +13,8 @@ n >= 0 the term is the cleared term itself and is returned as a plain int;
 every other term is a Fraction. The two mix exactly under +, -, * and
 nonnegative powers, so callers need not tell them apart. Each family's rows
 come from one rule, and its dual-complex numbers sit in one table per (family, k).
+That table and the P table with gamma(k) are the one per-k memo, which the
+public reads go to directly; a Terms view is made by each evaluation.
 """
 
 from __future__ import annotations
@@ -134,27 +136,25 @@ def _numbers(family: Family, k: Fraction | int):
 
 @functools.cache
 def _shared(k: Fraction | int) -> tuple:
-    """(p, gamma) of one checked k, built once and read by every view of k."""
+    """(p, gamma) of one checked k, built once: P_j by index and gamma(k)."""
     p = _ByIndex(lambda j: _family_row(Family.K_PELL, k, j, 1)[0]).__getitem__
     return p, DualComplex(1 + k, 2, 2 * k * k + 6 * k + 4, 4 * k + 8)
 
 
 class Terms:
-    """The sequence terms at one checked k, read by index.
+    """The sequence terms at one checked k, read by index, for one evaluation.
 
     p(j) is P_j, d(family, j) the family's dual-complex number at j and q(j)
     that number for K_PELL; each is read off row's one family rule, built once
-    per (family, j) on the first read of its family and shared by every view
-    of k, as is gamma, (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps. A view
-    keeps each family table it reads in a slot (q, _pl, _mp), so a warm d
-    read does not look the table up by k again.
+    per (family, j) on the first read of its family and held by the per-k
+    memo, as is gamma, (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps.
     row(family, lo, count) is a stretch of terms, built on every call. qq(a, b)
     is Q_a Q_b, built once per unordered pair, and once(fn, key) is
     fn(self, key), built once per (fn, key); both are held by this view alone,
     so an evaluator that makes its own Terms(k) drops them with it.
     """
 
-    __slots__ = ("k", "p", "q", "_pl", "_mp", "gamma", "_qq", "_once")
+    __slots__ = ("k", "p", "q", "gamma", "_qq", "_once")
 
     def __init__(self, k: Fraction | int) -> None:
         self.k = k
@@ -179,44 +179,31 @@ class Terms:
         return _family_row(_checked_family(family), self.k, lo, count)
 
     def d(self, family: Family, j: int) -> DualComplex:
-        try:
-            slot = _TABLE_SLOTS[family]
-        except (KeyError, TypeError):  # not a Family member, an unhashable value included
-            raise ValueError(f"family must be a Family, got {family!r}") from None
-        try:
-            table = getattr(self, slot)
-        except AttributeError:  # the family's first read on this view: keep its table
-            table = _numbers(family, self.k)
-            setattr(self, slot, table)
-        return table(j)
-
-
-_TABLE_SLOTS = {Family.K_PELL: "q", Family.K_PELL_LUCAS: "_pl", Family.MODIFIED_K_PELL: "_mp"}
-
-
-_views = functools.cache(Terms)  # the shared view of each checked k
+        return _numbers(_checked_family(family), self.k)(j)
 
 
 def terms(k: Fraction | int) -> Terms:
-    """The term view of one positive int or Fraction k, built once per value of k."""
-    return _views(positive_k(k))
+    """A new term view of one positive int or Fraction k, over the shared per-k memo."""
+    return Terms(positive_k(k))
 
 
 def seq_row(
     family: Family, k: Fraction | int, lo: int, count: int
 ) -> tuple[Fraction | int, ...]:
-    """The terms S_lo ... S_{lo+count-1} of the family at k, read through terms(k)."""
-    return terms(k).row(family, exact_index(lo, name="lo"), exact_index(count, 0, "count"))
+    """The terms S_lo ... S_{lo+count-1} of the family at k; checks k, lo, count, then family."""
+    k, lo, count = positive_k(k), exact_index(lo, name="lo"), exact_index(count, 0, "count")
+    return _family_row(_checked_family(family), k, lo, count)
 
 
 def pell_term(k: Fraction | int, n: int) -> Fraction | int:
     """P_{k,n} for any integer n."""
-    return terms(k).p(exact_index(n))
+    return _shared(positive_k(k))[0](exact_index(n))
 
 
 def seq_term(spec: SequenceSpec, n: int) -> Fraction | int:
     """The n-th term of the chosen family, exact, any integer index."""
-    return terms(spec.k).row(spec.family, exact_index(n), 1)[0]
+    k, n = positive_k(spec.k), exact_index(n)
+    return _family_row(_checked_family(spec.family), k, n, 1)[0]
 
 
 def seq_term_fast(spec: SequenceSpec, n: int) -> Fraction | int:
@@ -270,11 +257,12 @@ def seq_binet(k: Fraction | int, n: int) -> Fraction:
 
 def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:
     """Closed form of sum(P_{k,i} for i = 0..n): (-1 + P_{n+1} + k P_n)/(k+1)."""
-    n = exact_index(n, 0)
-    t = terms(k)
-    return Fraction(-1 + t.p(n + 1) + t.k * t.p(n), t.k + 1)
+    n, k = exact_index(n, 0), positive_k(k)
+    p = _shared(k)[0]
+    return Fraction(-1 + p(n + 1) + k * p(n), k + 1)
 
 
 def dc_number(family: Family, k: Fraction | int, n: int) -> DualComplex:
     """Dual-complex number S_n + i S_{n+1} + eps S_{n+2} + i eps S_{n+3}."""
-    return terms(k).d(family, exact_index(n))
+    k, n = positive_k(k), exact_index(n)
+    return _numbers(_checked_family(family), k)(n)

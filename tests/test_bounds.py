@@ -7,8 +7,10 @@ its peak resident set must stay under 200 MB.
 
 The products Q_a Q_b that sweep and identity_sides memoize die with the
 evaluation; only the per-k terms stay, and those grow linearly in n. The
-per-k memo makes each family's table of numbers on the first read of that
-family, so a k read only through P holds no PL or MP table.
+public reads go straight to the one per-k memo: the P table with gamma(k),
+read by pell_term, and one table of numbers per (family, k), made on the
+first read of that family, so a k read only through P holds no number table
+and a k read only through dc_number holds only the tables it read.
 """
 
 import gc
@@ -19,7 +21,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
-from dualpell import Family, IdentityId, SweepConfig, dc_number, identity_sides, sweep
+from dualpell import Family, IdentityId, SweepConfig, dc_number, identity_sides, pell_term, sweep
 from dualpell import sequences
 
 CHILD = """
@@ -67,7 +69,7 @@ def test_evaluations_hold_no_products_after_they_return():
         after_sides = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # held by a process-lifetime product memo: about 1.0 MB and 146 KB
+    # the products die with each evaluation's own view; only per-k terms may stay
     assert after_sweep < 2**19, f"sweep left {after_sweep} bytes"
     assert after_sides - after_sweep < 2**15, f"identity_sides left {after_sides - after_sweep} bytes"
 
@@ -94,19 +96,25 @@ def test_pell_reads_at_fresh_k_hold_no_family_numbers():
     assert tables().currsize - before == 300  # one K_PELL table per k, no PL or MP
     before = tables().currsize
     dc_number(Family.MODIFIED_K_PELL, Fraction(301, 7919), 3)
-    assert tables().currsize - before == 2  # the view's K_PELL table and the MP one
+    assert tables().currsize - before == 1  # the MP table alone: no K_PELL table comes with it
 
 
-def test_the_per_k_memo_holds_under_4_kib_per_k():
-    # one K_PELL number at each of 2,000 k that no other test reads: denominator 7927, and 10**6 + i
-    for ks in ([Fraction(i, 7927) for i in range(1, 2001)], [10**6 + i for i in range(1, 2001)]):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            for k in ks:
-                dc_number(Family.K_PELL, k, 5)
+def test_the_per_k_memo_holds_under_2_kib_per_k():
+    # one read at each of 2,000 k that no other test reads, for each public read
+    # of the memo: k = i/den (den prime) and k = base + i
+    reads = {
+        "dc_number": (lambda k: dc_number(Family.K_PELL, k, 5), 7927, 10**6),
+        "pell_term": (lambda k: pell_term(k, 5), 7933, 2 * 10**6),
+    }
+    for name, (read, den, base) in reads.items():
+        for ks in ([Fraction(i, den) for i in range(1, 2001)], [base + i for i in range(1, 2001)]):
             gc.collect()
-            per_k = tracemalloc.get_traced_memory()[0] / len(ks)
-        finally:
-            tracemalloc.stop()
-        assert per_k < 4096, f"the memo holds {per_k:.0f} bytes per k at k = {ks[0]}"
+            tracemalloc.start()
+            try:
+                for k in ks:
+                    read(k)
+                gc.collect()
+                per_k = tracemalloc.get_traced_memory()[0] / len(ks)
+            finally:
+                tracemalloc.stop()
+            assert per_k < 2048, f"{name} leaves {per_k:.0f} bytes per k at k = {ks[0]}"

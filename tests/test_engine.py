@@ -20,14 +20,10 @@ from dualpell import (
     Family,
     IdentityId,
     SequenceSpec,
-    SweepConfig,
-    identity_sides,
     pell_term,
     seq_binet,
     seq_row,
     seq_term,
-    sequences,
-    sweep,
     terms,
 )
 from dualpell.scalars import positive_k
@@ -101,19 +97,6 @@ def test_family_numbers_are_built_from_the_rule_not_from_q():
     assert not t.q.__self__  # f28-f31 compare these numbers with q, so q must stay unread
 
 
-def test_a_view_keeps_each_family_table_it_has_read():
-    tables = sequences._numbers.cache_info
-    for k in (Fraction(19, 7907), 7907):  # k no other test reads
-        t = Terms(k)
-        first = {family: t.d(family, 2) for family in Family}
-        hits = tables().hits
-        for family in Family:
-            for j in (-2, 2, 9):
-                assert t.d(family, j) == DualComplex(*t.row(family, j, 4))
-            assert t.d(family, 2) is first[family]
-        assert tables().hits == hits  # no warm read looked its table up by k
-
-
 @SEEDED
 @given(st.one_of(st.integers(1, 50), ks), st.integers(-20, 60), st.integers(-20, 60))
 def test_product_memo_is_the_product_in_either_order(k, a, b):
@@ -140,13 +123,11 @@ def test_once_builds_each_key_once_per_view():
     assert built == [(t, 3), (t, 4), (other, 3)]
 
 
-def test_an_evaluation_leaves_the_shared_view_without_a_memo():
-    k = Fraction(17, 7919)  # a k no other test reads
-    shared = terms(k)
-    ids = (IdentityId.G13, IdentityId.G17, IdentityId.G19STATED, IdentityId.G18)
-    sweep(SweepConfig(ids=ids, k_values=(k,), n_range=(0, 3), m_range=(0, 3), r_range=(1, 2)))
-    identity_sides(IdentityId.G13, {"k": k, "n": 1, "m": 2})
-    assert terms(k) is shared and not shared._once
+def test_terms_makes_a_new_view_per_call_over_the_shared_tables():
+    a, b = terms(Fraction(2)), terms(2)
+    assert a is not b and a._once is not b._once
+    assert a.q is b.q and a.p is b.p and a.gamma is b.gamma
+    assert type(a.k) is int and a.k == 2
 
 
 def test_a_view_frees_what_once_built_without_the_cycle_collector():

@@ -138,10 +138,6 @@ def test_typed_row_memo_rejects_float_and_bool_k_that_equal_a_cached_k():
             read()
 
 
-def test_one_term_view_per_value_of_k():
-    assert terms(Fraction(2)) is terms(2)
-
-
 @pytest.mark.parametrize("index", [3.0, 1.0, True])
 @pytest.mark.parametrize(
     "read, name",

@@ -10,6 +10,7 @@ from dualpell import (
     DualComplex,
     Family,
     IdentityId,
+    PellQuaternion,
     QuadExt,
     SweepConfig,
     Verdict,
@@ -218,3 +219,21 @@ def test_dc_number_alias_of_build():
 def test_build_quaternion_rejects_a_family_that_is_not_a_family(family):
     with pytest.raises(ValueError, match="family must be a Family"):
         build_quaternion(family, 2, 1)
+
+
+def test_a_quaternion_checks_its_provenance_as_a_sequence_spec_does():
+    value = DualComplex(0, 1, 2, 5)
+    for family, k, n, message in [
+        (Family.K_PELL, 0.5, 1, "k must be a positive int or Fraction"),
+        (Family.K_PELL, True, 1, "k must be a positive int or Fraction"),
+        ("pell", 2, 0, "family must be a Family"),
+        (Family.K_PELL, 2, 0.0, "n must be int"),
+        (Family.K_PELL, 2, True, "n must be int"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            PellQuaternion(value, family, k, n)
+    for bad in (0.5, 0, Fraction(1, 2), (0, 1, 2, 5)):
+        with pytest.raises(TypeError, match="value must be a DualComplex"):
+            PellQuaternion(bad, Family.K_PELL, 2, 0)
+    q = build_quaternion(Family.K_PELL, Fraction(4, 2), 3)
+    assert type(q.k) is int and q.k == 2 and q == PellQuaternion(q.value, Family.K_PELL, 2, 3)

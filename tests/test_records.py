@@ -1,4 +1,4 @@
-"""The seven records keep the contract they had as 
+"""The seven records keep the contract they had as dataclasses.
 
 Each record is a plain class over `dualcomplex._Record`, so a command that
 computes does not import `dataclasses`. Here each is compared with a
