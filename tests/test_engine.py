@@ -20,10 +20,13 @@ from dualpell import (
     Family,
     IdentityId,
     SequenceSpec,
+    SweepConfig,
+    identity_sides,
     pell_term,
     seq_binet,
     seq_row,
     seq_term,
+    sweep,
     terms,
 )
 from dualpell.scalars import positive_k
@@ -123,11 +126,19 @@ def test_once_builds_each_key_once_per_view():
     assert built == [(t, 3), (t, 4), (other, 3)]
 
 
-def test_terms_makes_a_new_view_per_call_over_the_shared_tables():
-    a, b = terms(Fraction(2)), terms(2)
-    assert a is not b and a._once is not b._once
-    assert a.q is b.q and a.p is b.p and a.gamma is b.gamma
-    assert type(a.k) is int and a.k == 2
+def test_an_evaluation_leaves_the_shared_view_without_a_memo():
+    # terms(k) is a new view per call over the per-k tables; an evaluation
+    # builds views of its own, keeps none of them and writes into no other.
+    k = Fraction(17, 7919)  # a k no other test reads
+    shared = terms(k)
+    ids = (IdentityId.G13, IdentityId.G17, IdentityId.G19STATED, IdentityId.G18)
+    sweep(SweepConfig(ids=ids, k_values=(k,), n_range=(0, 3), m_range=(0, 3), r_range=(1, 2)))
+    identity_sides(IdentityId.G13, {"k": k, "n": 1, "m": 2})
+    assert not shared._once
+    assert [o for o in gc.get_objects() if type(o) is Terms and o.k == k] == [shared]
+    fresh = terms(k)
+    assert fresh is not shared and fresh._once is not shared._once
+    assert fresh.q is shared.q and fresh.p is shared.p and fresh.gamma is shared.gamma
 
 
 def test_a_view_frees_what_once_built_without_the_cycle_collector():

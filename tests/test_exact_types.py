@@ -138,6 +138,14 @@ def test_typed_row_memo_rejects_float_and_bool_k_that_equal_a_cached_k():
             read()
 
 
+def test_one_term_view_per_value_of_k():
+    # Fraction(2) and 2 are one k: each call makes its own view, and both
+    # read one set of tables at the int k.
+    a, b = terms(Fraction(2)), terms(2)
+    assert a.q is b.q and a.p is b.p and a.gamma is b.gamma
+    assert type(a.k) is int and a.k == 2
+
+
 @pytest.mark.parametrize("index", [3.0, 1.0, True])
 @pytest.mark.parametrize(
     "read, name",
