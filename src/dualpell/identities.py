@@ -14,6 +14,12 @@ bindings as arguments, in the order of the entry's ``params``. A right side
 that depends on fewer indices than its entry, and so repeats across a grid,
 is read through ``t.once`` and built once per view.
 
+One rule builds a side over Q: it is made from int numerators and
+denominators and normalized once (``_dot`` for a*b +/- c*d, ``_prod`` for a*b,
+``_sum`` for a row, and Vajda's gamma sign P_i P_j held as one DualComplex per
+view and scaled by (-k)^n), and at integer k it stays the plain expression.
+Either way a side has the exact type of the plain expression.
+
 Two entries (ring_axioms, div_roundtrip) are sample-based rather than
 grid-based: they take no k (``t`` is None) and the integer binding n selects
 a deterministic pseudo-random sample, so a reported counterexample can
@@ -25,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 # Unused here: bench/spans.py reads verifier from sys.modules after importing this.
 from . import verifier  # noqa: F401
@@ -73,6 +80,38 @@ def as_dual_complex(side: Side) -> DualComplex:
     return side if isinstance(side, DualComplex) else DualComplex(side, 0, 0, 0)
 
 
+# --- scalar sides over Q, normalized once ------------------------------------
+# Each has the exact type of the plain expression: an int if every operand is
+# one, else a Fraction, so Fraction(6, 1) stays a Fraction. At integer k the
+# callers of _dot and _sum keep the plain expression, where these type tests
+# cost more than the int arithmetic; _prod's two tests cost what a call-site
+# test would, so it serves integer k too, where P_j at j < 0 is a Fraction.
+
+def _dot(a, b, c, d, sign=1):
+    """a*b + sign*c*d, an int if all four are; else one Fraction of their int parts, normalized once."""
+    if int is type(a) is type(b) is type(c) is type(d):
+        return a * b + sign * c * d
+    den, other = a.denominator * b.denominator, c.denominator * d.denominator
+    ab, cd = a.numerator * b.numerator, sign * c.numerator * d.numerator
+    return Fraction(ab + cd, den) if den == other else Fraction(ab * other + cd * den, den * other)
+
+
+def _prod(a, b):
+    """a*b, an int if both are; else one Fraction of their int parts, normalized once."""
+    if int is type(a) is type(b):
+        return a * b
+    return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+
+
+def _sum(values):
+    """sum(values), an int if all are; else one Fraction over the lcm of their denominators."""
+    if all([type(v) is int for v in values]):
+        return sum(values)
+    nums, dens = [v.numerator for v in values], [v.denominator for v in values]
+    d = lcm(*dens)
+    return Fraction(sum([a * (d // b) for a, b in zip(nums, dens)]), d)
+
+
 # --- conjugation products of the k-Pell dual-complex number (F12-F25) ------
 
 def _norm_entry(kind: Conjugation, slot: int | None = None, value=None) -> Sides:
@@ -82,7 +121,8 @@ def _norm_entry(kind: Conjugation, slot: int | None = None, value=None) -> Sides
     dual-complex conjugate's product keeps none.
     """
     def sides(t, n):
-        slots = [t.p(n) ** 2 + t.p(n + 1) ** 2, 0, 0, 0]
+        p0, p1 = t.p(n), t.p(n + 1)
+        slots = [p0**2 + p1**2 if type(t.k) is int else _dot(p0, p0, p1, p1), 0, 0, 0]
         if slot is not None:
             slots[slot] = value(t, n)
         return t.q(n).norm_product(kind), _dc(*slots)
@@ -93,7 +133,16 @@ def _norm_entry(kind: Conjugation, slot: int | None = None, value=None) -> Sides
 def _sides_f13(t, n):
     """Under the dual conjugate w * conj(w) = z1^2, not |z1|^2."""
     p0, p1 = t.p(n), t.p(n + 1)
-    return t.q(n).norm_product(Conjugation.DUAL), _dc(p0**2 - p1**2, 2 * p0 * p1)
+    z1 = p0**2 - p1**2 if type(t.k) is int else _dot(p0, p0, p1, p1, -1)
+    return t.q(n).norm_product(Conjugation.DUAL), _dc(z1, 2 * p0 * p1)
+
+
+def _twice_dot(t, a, b, c, d, sign):
+    """2(P_a P_b + sign P_c P_d), the paper slot of F12RAW and F24."""
+    pa, pb, pc, pd = t.p(a), t.p(b), t.p(c), t.p(d)
+    if type(t.k) is int:
+        return 2 * (pa * pb + sign * pc * pd)
+    return 2 * _dot(pa, pb, pc, pd, sign)
 
 
 # --- conjugation sums and mixed relations (F16-F21) -------------------------
@@ -183,7 +232,7 @@ def _sides_g13(t, n, m):
 def _sides_g14(t, n):
     row = t.row(Family.K_PELL, 0, n + 4)
     # Slot c of Q_0 + ... + Q_n is P_c + ... + P_{n+c}: slot c - 1's window moved up by one.
-    slots = [sum(row[: n + 1])]
+    slots = [sum(row[: n + 1]) if type(t.k) is int else _sum(row[: n + 1])]
     for c in range(1, 4):
         slots.append(slots[-1] - row[c - 1] + row[n + c])
     closed = t.q(n + 1) + t.q(n).scale(t.k) - t.q(1) + t.q(0)
@@ -200,6 +249,11 @@ def _signed_p_product(t, ijs):
     return sign * t.p(i) * t.p(j)
 
 
+def _gamma_p_product(t, ijs):
+    """gamma sign P_i P_j, one DualComplex that a tuple scales by its power of -k."""
+    return t.gamma.scale(_signed_p_product(t, ijs))
+
+
 def _vajda(t, n, i, j, sign=1):
     """sign times both sides of Vajda's Q_{n+i}Q_{n+j} - Q_nQ_{n+i+j} = gamma (-k)^n P_i P_j.
 
@@ -207,30 +261,20 @@ def _vajda(t, n, i, j, sign=1):
     """
     a, b = t.qq(n + i, n + j), t.qq(n, n + i + j)
     lhs = a - b if sign == 1 else b - a
-    return lhs, t.gamma.scale(t.once(_neg_k_pow, n) * t.once(_signed_p_product, (i, j, sign)))
+    return lhs, t.once(_gamma_p_product, (i, j, sign)).scale(t.once(_neg_k_pow, n))
 
 
 def _sides_g19_stated(t, n, r):
     lhs = t.qq(n, n) - t.qq(n + r, n - r)
-    return lhs, t.gamma.scale(t.once(_neg_k_pow, n - r + 1) * t.p(r) ** 2)
+    return lhs, t.once(_gamma_p_product, (r, r, 1)).scale(t.once(_neg_k_pow, n - r + 1))
 
 
 # --- scalar helper identities from the quaternion proofs ---------------------
-
-def _dot(a, b, c, d, sign=1):
-    """a*b + sign*c*d, an int if all four are; else one Fraction of their int parts, normalized once."""
-    if int is type(a) is type(b) is type(c) is type(d):
-        return a * b + sign * c * d
-    den, other = a.denominator * b.denominator, c.denominator * d.denominator
-    ab, cd = a.numerator * b.numerator, sign * c.numerator * d.numerator
-    return Fraction(ab + cd, den) if den == other else Fraction(ab * other + cd * den, den * other)
-
 
 def _k_p_before(t, n):
     return t.k * t.p(n - 1)
 
 
-# At integer k these two left sides stay the plain expression: _dot's type tests cost more there.
 def _sides_helper_honsberger(t, n, m):
     if type(t.k) is int:
         lhs = t.k * t.p(n - 1) * t.p(m) + t.p(n) * t.p(m + 1)
@@ -245,7 +289,7 @@ def _vajda_p(t, n, i, j, sign=1):
     if sign != 1:
         a, b, c, d = c, d, a, b
     lhs = a * b - c * d if type(t.k) is int else _dot(a, b, c, d, -1)
-    return lhs, t.once(_neg_k_pow, n) * t.once(_signed_p_product, (i, j, sign))
+    return lhs, _prod(t.once(_neg_k_pow, n), t.once(_signed_p_product, (i, j, sign)))
 
 
 # --- consistency checks between independent evaluation routes ----------------
@@ -259,7 +303,8 @@ def _sides_binet_quaternion(t, n):
 
 
 def _sides_prefix_sum(t, n):
-    literal = sum(t.row(Family.K_PELL, 0, n + 1))
+    row = t.row(Family.K_PELL, 0, n + 1)
+    literal = sum(row) if type(t.k) is int else _sum(row)
     return seq_prefix_sum(t.k, n), literal
 
 
@@ -340,7 +385,7 @@ class IdentityId(Enum):
 
     F12S = "f12s", _F12S
     F12RAW = "f12raw", CatalogEntry(_norm_entry(
-        Conjugation.COMPLEX, 2, lambda t, n: 2 * (t.p(n) * t.p(n + 2) + t.p(n + 1) * t.p(n + 3))))
+        Conjugation.COMPLEX, 2, lambda t, n: _twice_dot(t, n, n + 2, n + 1, n + 3, 1)))
     F13 = "f13", _F13
     F14 = "f14", CatalogEntry(_norm_entry(Conjugation.COUPLED, 3, lambda t, n: -4 * _neg_k_pow(t, n)))
     F15 = "f15", _F15
@@ -353,7 +398,7 @@ class IdentityId(Enum):
     F22S = "f22s", _F12S
     F23 = "f23", _F13
     F24 = "f24", CatalogEntry(_norm_entry(
-        Conjugation.COUPLED, 3, lambda t, n: 2 * (t.p(n) * t.p(n + 3) - t.p(n + 1) * t.p(n + 2))))
+        Conjugation.COUPLED, 3, lambda t, n: _twice_dot(t, n, n + 3, n + 1, n + 2, -1)))
     F25 = "f25", _F15
     F26 = "f26", _F26
     F27 = "f27", CatalogEntry(_recurrence(Family.K_PELL_LUCAS))

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .dualcomplex import DualComplex, _FrozenRecord
 from .scalars import exact_index, positive_k
-from .sequences import Family, _binet_row, _checked_family, dc_number, terms
+from .sequences import Family, _binet_row, _checked_family, _shared, dc_number
 
 
 class PellQuaternion(_FrozenRecord):
@@ -69,8 +69,12 @@ def binet_quaternion(k: Fraction | int, n: int) -> DualComplex:
 
 
 def gamma_closed(k: Fraction | int) -> DualComplex:
-    """Polynomial form (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps, read as terms(k).gamma."""
-    return terms(k).gamma
+    """Polynomial form (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps of the checked k.
+
+    Read from the per-k memo, which builds it once per k beside the P table;
+    no Terms view and no number table is made.
+    """
+    return _shared(positive_k(k))[1]
 
 
 def gamma_coefficient(k: Fraction | int) -> DualComplex:

@@ -21,7 +21,17 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
-from dualpell import Family, IdentityId, SweepConfig, dc_number, identity_sides, pell_term, sweep
+from dualpell import (
+    DualComplex,
+    Family,
+    IdentityId,
+    SweepConfig,
+    dc_number,
+    gamma_closed,
+    identity_sides,
+    pell_term,
+    sweep,
+)
 from dualpell import sequences
 
 CHILD = """
@@ -97,6 +107,14 @@ def test_pell_reads_at_fresh_k_hold_no_family_numbers():
     before = tables().currsize
     dc_number(Family.MODIFIED_K_PELL, Fraction(301, 7919), 3)
     assert tables().currsize - before == 1  # the MP table alone: no K_PELL table comes with it
+
+
+def test_gamma_closed_reads_the_memo_without_a_number_table():
+    tables = sequences._numbers.cache_info
+    before = tables().currsize
+    k = Fraction(3, 7937)  # denominator 7937: no other test reads this k
+    assert gamma_closed(k) == DualComplex(1 + k, 2, 2 * k * k + 6 * k + 4, 4 * k + 8)
+    assert tables().currsize == before
 
 
 def test_the_per_k_memo_holds_under_2_kib_per_k():

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dualpell import (
@@ -22,7 +22,7 @@ from dualpell import (
     identity_sides,
     required_bindings,
 )
-from dualpell.identities import _dot, _vajda, _vajda_p
+from dualpell.identities import _dot, _neg_k_pow, _prod, _sides_g19_stated, _sum, _vajda, _vajda_p
 from dualpell.scalars import positive_k
 from dualpell.sequences import Terms
 from support import SEEDED, shown, sides_digests
@@ -288,6 +288,51 @@ def test_dot_is_the_plain_expression_with_its_exact_type(a, b, c, d, sign):
     plain = a * b + sign * c * d
     value = _dot(a, b, c, d, sign)
     assert value == plain and type(value) is type(plain)
+
+
+@SEEDED
+@given(scalars, scalars)
+@example(3, 4)
+@example(Fraction(6), 1)
+@example(Fraction(3, 2), 2)
+def test_prod_is_the_plain_product_with_its_exact_type(a, b):
+    plain = a * b
+    value = _prod(a, b)
+    assert value == plain and type(value) is type(plain)
+
+
+# Rows of ints, of mixed values and of Fraction(n, 1)s; g14 sums the empty row at n = -1.
+rows = st.one_of(
+    st.lists(st.integers(-(10**20), 10**20), max_size=8),
+    st.lists(scalars, max_size=8),
+    st.lists(st.builds(Fraction, st.integers(-(10**20), 10**20)), max_size=8),
+)
+
+
+@SEEDED
+@given(rows)
+@example([])
+@example([1, 2, 3])
+@example([Fraction(6), Fraction(-2)])
+@example([0, Fraction(1, 2), 3, Fraction(5, 6)])
+def test_sum_is_the_plain_sum_with_its_exact_type(values):
+    plain = sum(values)
+    value = _sum(values)
+    assert value == plain and type(value) is type(plain)
+
+
+@SEEDED
+@given(ks, st.integers(-6, 9), st.integers(-6, 9), st.integers(-6, 9), st.sampled_from((1, -1)))
+@example(2, 3, -2, -1, 1)
+@example(Fraction(3, 2), 3, -2, -4, -1)
+def test_vajda_right_side_is_gamma_scaled_by_the_product_of_its_scalars(k, n, i, j, sign):
+    # the reference scales gamma once, by the one scalar (-k)^n sign P_i P_j
+    t = Terms(positive_k(k))
+    expected = t.gamma.scale(_neg_k_pow(t, n) * (sign * t.p(i) * t.p(j)))
+    assert shown(_vajda(t, n, i, j, sign)[1]) == shown(expected)
+    r = i % 7 + 1  # g19stated reads gamma P_r^2 the same way
+    expected = t.gamma.scale(_neg_k_pow(t, n - r + 1) * t.p(r) ** 2)
+    assert shown(_sides_g19_stated(t, n, r)[1]) == shown(expected)
 
 
 @SEEDED
