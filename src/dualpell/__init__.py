@@ -19,6 +19,7 @@ _HOMES = {
         "NonInvertibleError",
     ),
     "identities": ("CATALOG", "IdentityId", "as_dual_complex", "identity_sides", "required_bindings"),
+    "quadext": ("QuadExt", "make_alpha_beta", "rationalize", "render_rational"),
     "quaternions": (
         "PellQuaternion",
         "binet_quaternion",
@@ -27,7 +28,7 @@ _HOMES = {
         "gamma_coefficient",
         "hat_pair",
     ),
-    "scalars": ("QuadExt", "make_alpha_beta", "parse_rational", "rationalize", "render_rational"),
+    "scalars": ("parse_rational",),
     "sequences": (
         "Family",
         "SequenceSpec",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -105,6 +104,8 @@ def _identity_ids(text: str) -> tuple[IdentityId, ...]:
 
 
 def _emit(obj: dict) -> None:
+    import json  # here, so building the parser loads no json
+
     print(json.dumps(obj, indent=2))
 
 

@@ -131,13 +131,13 @@ def _family_row(
 @functools.cache
 def _numbers(family: Family, k: Fraction | int):
     """The family's dual-complex number at k by index, each built once from its row."""
-    return _ByIndex(lambda j: DualComplex(*_family_row(family, k, j, 4))).__getitem__
+    return _ByIndex(lambda j: DualComplex(*_family_row(family, k, exact_index(j), 4))).__getitem__
 
 
 @functools.cache
 def _shared(k: Fraction | int) -> tuple:
     """(p, gamma) of one checked k, built once: P_j by index and gamma(k)."""
-    p = _ByIndex(lambda j: _family_row(Family.K_PELL, k, j, 1)[0]).__getitem__
+    p = _ByIndex(lambda j: _family_row(Family.K_PELL, k, exact_index(j), 1)[0]).__getitem__
     return p, DualComplex(1 + k, 2, 2 * k * k + 6 * k + 4, 4 * k + 8)
 
 
@@ -152,6 +152,12 @@ class Terms:
     is Q_a Q_b, built once per unordered pair, and once(fn, key) is
     fn(self, key), built once per (fn, key); both are held by this view alone,
     so an evaluator that makes its own Terms(k) drops them with it.
+
+    A p, q or d read that misses the memo checks its index with
+    scalars.exact_index, as pell_term does, so a bad index raises ValueError
+    and is never stored. A read that hits is a plain dict read: an index equal
+    to one already read (3.0 after 3, True after 1) is served from the memo,
+    as a dict serves it.
     """
 
     __slots__ = ("k", "p", "q", "gamma", "_qq", "_once")

@@ -11,7 +11,6 @@ elapsed-time field is zeroed.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from enum import Enum
@@ -222,6 +221,8 @@ def report_to_dict(report: IdentityReport, zero_elapsed: bool = False) -> dict:
 def reports_to_json(
     reports: Iterable[IdentityReport], zero_elapsed: bool = False
 ) -> str:
+    import json  # here, so a sweep that writes no report never loads it
+
     payload = [report_to_dict(r, zero_elapsed=zero_elapsed) for r in reports]
     return json.dumps(payload, indent=2)
 

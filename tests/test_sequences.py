@@ -1,6 +1,7 @@
 """Sequence engines: recurrence, negative indices, fast path, closed forms."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,21 @@ def test_the_term_view_rejects_a_family_that_is_not_a_family(family):
         t.row(family, 0, 4)
     with pytest.raises(ValueError, match="family must be a Family"):
         t.d(family, 0)
+
+
+@pytest.mark.parametrize("index", [5.0, 7.5, "3", None], ids=repr)
+def test_the_term_view_checks_an_index_it_has_not_read(index):
+    # A miss checks the index as pell_term does, so a bad one stores nothing.
+    from dualpell import sequences
+
+    k = Fraction(1013, 991)  # read nowhere else, so every read below misses
+    t = terms(k)
+    for read in (t.p, t.q, lambda j: t.d(Family.K_PELL_LUCAS, j)):
+        with pytest.raises(ValueError, match=f"^n must be int, got {re.escape(repr(index))}$"):
+            read(index)
+    assert not sequences._shared(k)[0].__self__
+    assert not sequences._numbers(Family.K_PELL, k).__self__
+    assert not sequences._numbers(Family.K_PELL_LUCAS, k).__self__
 
 
 @pytest.mark.parametrize("family", NOT_A_FAMILY)

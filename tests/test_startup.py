@@ -31,9 +31,14 @@ def fresh(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def modules_after(code: str, *flags: str) -> set[str]:
-    """Every module loaded once ``code`` has run in a fresh interpreter started with ``flags``."""
-    done = fresh(*flags, "-c", code + "\nimport sys\nprint(*sorted(sys.modules))")
+def modules_after(code: str, *flags: str, holding: str | None = None) -> set[str]:
+    """Every module loaded once ``code`` has run in a fresh interpreter started with ``flags``.
+
+    With ``holding``, only the loaded modules whose namespace defines that name.
+    """
+    kept = "True" if holding is None else f"{holding!r} in getattr(m, '__dict__', ())"
+    listed = f"print(*sorted(n for n, m in list(sys.modules.items()) if {kept}))"
+    done = fresh(*flags, "-c", code + "\nimport sys\n" + listed)
     assert done.returncode == 0, done.stderr[-2000:]
     return set(done.stdout.splitlines()[-1].split())
 
@@ -86,6 +91,12 @@ def test_tracer_finds_every_module_after_cli_and_identities():
     modules = loaded_after("import dualpell.cli\nfrom dualpell import identities")
     for name in ("scalars", "dualcomplex", "sequences", "quaternions", "verifier", "cli"):
         assert f"dualpell.{name}" in modules
+    # It reads QuadExt off scalars, whose hook serves it from quadext, its home.
+    scalars = sys.modules["dualpell.scalars"]
+    assert scalars.QuadExt is dualpell.QuadExt
+    assert dualpell.QuadExt.__module__ == "dualpell.quadext"
+    with pytest.raises(AttributeError, match="^module 'dualpell.scalars' has no attribute 'no_such_name'$"):
+        scalars.no_such_name
 
 
 def test_public_names_resolve_from_their_home_modules():
@@ -132,11 +143,21 @@ def test_computing_commands_load_no_dataclasses(code):
 START_UPS = {**PARSER_PATHS, **COMPUTING}
 
 
-@pytest.mark.parametrize("code", START_UPS.values(), ids=START_UPS.keys())
-def test_start_up_without_site_loads_no_typing_or_dataclasses(code):
+# The start-ups that write no JSON: json is imported where output is written.
+WRITES_NO_JSON = ("build_parser", "help", "sweep")
+
+
+@pytest.mark.parametrize("name", START_UPS)
+def test_start_up_without_site_loads_no_typing_or_dataclasses(name):
     # -S: no site hook can preload these and so hide a module that the package pulls in.
     # shutil is what argparse's HelpFormatter imports when no width is given.
-    assert {"typing", "dataclasses", "inspect", "shutil"} & modules_after(code, "-S") == set()
+    code = START_UPS[name]
+    unloaded = {"typing", "dataclasses", "inspect", "shutil", "dualpell.quadext"}
+    if name in WRITES_NO_JSON:
+        unloaded.add("json")
+    assert unloaded & modules_after(code, "-S") == set()
+    # No start-up compiles QuadExt: quadext stays unloaded and scalars no longer defines it.
+    assert modules_after(code, "-S", holding="QuadExt") == set()
 
 
 @pytest.mark.parametrize("columns", [None, "60", "200"])
