@@ -204,12 +204,22 @@ class DualComplex(_Record):
     def __add__(self, other: "DualComplex") -> "DualComplex":
         if not isinstance(other, DualComplex):
             return NotImplemented
-        return _sum(self._form, other._form, add)
+        fa, fb = self._form, other._form
+        if fa[4] != fb[4]:  # unequal denominators, rescaled; equal ones, as at integer k, add as they are
+            return _sum(fa, fb, add)
+        a1, a2, a3, a4, d = fa
+        b1, b2, b3, b4, _ = fb
+        return _over(a1 + b1, a2 + b2, a3 + b3, a4 + b4, d)
 
     def __sub__(self, other: "DualComplex") -> "DualComplex":
         if not isinstance(other, DualComplex):
             return NotImplemented
-        return _sum(self._form, other._form, sub)
+        fa, fb = self._form, other._form
+        if fa[4] != fb[4]:
+            return _sum(fa, fb, sub)
+        a1, a2, a3, a4, d = fa
+        b1, b2, b3, b4, _ = fb
+        return _over(a1 - b1, a2 - b2, a3 - b3, a4 - b4, d)
 
     def __neg__(self) -> "DualComplex":
         return self.scale(-1)
@@ -298,7 +308,7 @@ class DualComplex(_Record):
 def _over(n1: int, n2: int, n3: int, n4: int, d: int) -> DualComplex:
     """(n1, n2, n3, n4)/d for d > 0, holding its canonical form alone."""
     if d != 1:
-        g = gcd(n1, n2, n3, n4, d)
+        g = gcd(d, n1, n2, n3, n4)  # d first: often a power of q, so the chain reaches 1 soon
         if g != 1:
             n1, n2, n3, n4, d = n1 // g, n2 // g, n3 // g, n4 // g, d // g
     w = object.__new__(DualComplex)
@@ -307,11 +317,9 @@ def _over(n1: int, n2: int, n3: int, n4: int, d: int) -> DualComplex:
 
 
 def _sum(fa: tuple, fb: tuple, op: Any) -> DualComplex:
-    """op(a, b) for op add or sub, from the cleared forms of a and b."""
+    """op(a, b) for op add or sub, from the cleared forms of a and b, rescaled to lcm(da, db)."""
     a1, a2, a3, a4, da = fa
     b1, b2, b3, b4, db = fb
-    if da == db:  # equal denominators, as between integer values: no rescaling
-        return _over(op(a1, b1), op(a2, b2), op(a3, b3), op(a4, b4), da)
     d = lcm(da, db)
     x, y = d // da, d // db
     return _over(op(a1 * x, b1 * y), op(a2 * x, b2 * y), op(a3 * x, b3 * y), op(a4 * x, b4 * y), d)

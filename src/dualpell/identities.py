@@ -16,9 +16,10 @@ is read through ``t.once`` and built once per view.
 
 One rule builds a side over Q: it is made from int numerators and
 denominators and normalized once (``_dot`` for a*b +/- c*d, ``_prod`` for a*b,
-``_sum`` for a row, and Vajda's gamma sign P_i P_j held as one DualComplex per
-view and scaled by (-k)^n), and at integer k it stays the plain expression.
-Either way a side has the exact type of the plain expression.
+``Terms.sum_to`` for the literal sum P_0 + ... + P_n, streamed off the cleared
+terms, and Vajda's gamma sign P_i P_j held as one DualComplex per view and
+scaled by (-k)^n), and at integer k it stays the plain expression. Either way
+a side has the exact type of the plain expression.
 
 Two entries (ring_axioms, div_roundtrip) are sample-based rather than
 grid-based: they take no k (``t`` is None) and the integer binding n selects
@@ -31,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 
 # Unused here: bench/spans.py reads verifier from sys.modules after importing this.
 from . import verifier  # noqa: F401
@@ -52,7 +52,7 @@ Sides = Callable[..., tuple[Side, Side]]
 
 
 def _nonneg(*values: int) -> bool:
-    return all(value >= 0 for value in values)
+    return min(values) >= 0
 
 
 class CatalogEntry(_FrozenRecord):
@@ -83,7 +83,7 @@ def as_dual_complex(side: Side) -> DualComplex:
 # --- scalar sides over Q, normalized once ------------------------------------
 # Each has the exact type of the plain expression: an int if every operand is
 # one, else a Fraction, so Fraction(6, 1) stays a Fraction. At integer k the
-# callers of _dot and _sum keep the plain expression, where these type tests
+# callers of _dot keep the plain expression, where these type tests
 # cost more than the int arithmetic; _prod's two tests cost what a call-site
 # test would, so it serves integer k too, where P_j at j < 0 is a Fraction.
 
@@ -101,15 +101,6 @@ def _prod(a, b):
     if int is type(a) is type(b):
         return a * b
     return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
-
-
-def _sum(values):
-    """sum(values), an int if all are; else one Fraction over the lcm of their denominators."""
-    if all([type(v) is int for v in values]):
-        return sum(values)
-    nums, dens = [v.numerator for v in values], [v.denominator for v in values]
-    d = lcm(*dens)
-    return Fraction(sum([a * (d // b) for a, b in zip(nums, dens)]), d)
 
 
 # --- conjugation products of the k-Pell dual-complex number (F12-F25) ------
@@ -230,11 +221,10 @@ def _sides_g13(t, n, m):
 
 
 def _sides_g14(t, n):
-    row = t.row(Family.K_PELL, 0, n + 4)
     # Slot c of Q_0 + ... + Q_n is P_c + ... + P_{n+c}: slot c - 1's window moved up by one.
-    slots = [sum(row[: n + 1]) if type(t.k) is int else _sum(row[: n + 1])]
+    slots = [t.sum_to(n)]
     for c in range(1, 4):
-        slots.append(slots[-1] - row[c - 1] + row[n + c])
+        slots.append(slots[-1] - t.p(c - 1) + t.p(n + c))
     closed = t.q(n + 1) + t.q(n).scale(t.k) - t.q(1) + t.q(0)
     return DualComplex(*slots), closed.scale(Fraction(1) / (t.k + 1))
 
@@ -303,9 +293,7 @@ def _sides_binet_quaternion(t, n):
 
 
 def _sides_prefix_sum(t, n):
-    row = t.row(Family.K_PELL, 0, n + 1)
-    literal = sum(row) if type(t.k) is int else _sum(row)
-    return seq_prefix_sum(t.k, n), literal
+    return seq_prefix_sum(t.k, n), t.sum_to(n)
 
 
 # --- sample-based ring properties --------------------------------------------

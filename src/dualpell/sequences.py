@@ -14,7 +14,9 @@ every other term is a Fraction. The two mix exactly under +, -, * and
 nonnegative powers, so callers need not tell them apart. Each family's rows
 come from one rule, and its dual-complex numbers sit in one table per (family, k).
 That table and the P table with gamma(k) are the one per-k memo, which the
-public reads go to directly; a Terms view is made by each evaluation.
+public reads go to directly; a Terms view is made by each evaluation. A
+literal sum P_0 + ... + P_n (Terms.sum_to) walks the cleared recurrence with
+one term live and builds at most one Fraction.
 """
 
 from __future__ import annotations
@@ -145,10 +147,10 @@ class Terms:
     """The sequence terms at one checked k, read by index, for one evaluation.
 
     p(j) is P_j, d(family, j) the family's dual-complex number at j and q(j)
-    that number for K_PELL; each is read off row's one family rule, built once
+    that number for K_PELL; each is read off the one family rule, built once
     per (family, j) on the first read of its family and held by the per-k
     memo, as is gamma, (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps.
-    row(family, lo, count) is a stretch of terms, built on every call. qq(a, b)
+    sum_to(n) is P_0 + ... + P_n, streamed on every call and held nowhere. qq(a, b)
     is Q_a Q_b, built once per unordered pair, and once(fn, key) is
     fn(self, key), built once per (fn, key); both are held by this view alone,
     so an evaluator that makes its own Terms(k) drops them with it.
@@ -180,9 +182,22 @@ class Terms:
             value = self._once[fn, key] = fn(self, key)
             return value
 
-    def row(self, family: Family, lo: int, count: int) -> tuple[Fraction | int, ...]:
-        """S_lo ... S_{lo+count-1}: an int for integer k and index >= 0, else a Fraction."""
-        return _family_row(_checked_family(family), self.k, lo, count)
+    def sum_to(self, n: int) -> Fraction | int:
+        """P_0 + ... + P_n for n >= -1, off the cleared recurrence with one term live.
+
+        An int at integer k; at k = p/q one Fraction, integral or not, of the
+        Horner sum acc = A_0 q^n + ... + A_n, as P_j = q A_j / q^j. The empty
+        sum at n = -1 is int 0.
+        """
+        if exact_index(n, -1) < 0:
+            return 0
+        p, q = self.k.numerator, self.k.denominator
+        if q == 1:
+            return sum(_cleared(p, 1, 0, n + 1))
+        acc = 0
+        for a in _cleared(p, q, 0, n + 1):
+            acc = acc * q + a
+        return Fraction(q * acc, q**n)
 
     def d(self, family: Family, j: int) -> DualComplex:
         return _numbers(_checked_family(family), self.k)(j)

@@ -146,6 +146,7 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
     reports = []
     for ident in config.ids:
         entry = CATALOG[ident]
+        sides = entry.sides
         started = time.perf_counter()
         # pre never reads k, so each identity's grid is filtered once, as it streams.
         own_axes = [axes[p] for p in entry.params]
@@ -159,7 +160,7 @@ def sweep(config: SweepConfig) -> list[IdentityReport]:
             t = Terms(k) if entry.uses_k else None  # its products go with it
             for values in grid:
                 try:
-                    lhs, rhs = entry.sides(t, *values)
+                    lhs, rhs = sides(t, *values)
                     if lhs == rhs:
                         continue
                     error = None

@@ -11,6 +11,7 @@ public reads go straight to the one per-k memo: the P table with gamma(k),
 read by pell_term, and one table of numbers per (family, k), made on the
 first read of that family, so a k read only through P holds no number table
 and a k read only through dc_number holds only the tables it read.
+A literal sum P_0 + ... + P_n holds one term at a time, not the row.
 """
 
 import gc
@@ -96,6 +97,20 @@ def test_sweep_filters_its_grid_as_it_streams():
         tracemalloc.stop()
     assert (report.grid_size, report.skipped) == (0, 200_000)
     assert peak < 2**20, f"sweep peaked at {peak} bytes"  # a listed product takes about 12 MiB
+
+
+def test_literal_sums_hold_one_term_at_a_time():
+    # P_0 + ... + P_n is streamed off the cleared terms; a built row of P_0..P_n
+    # takes O(n^2) bits, over 1 MiB at either n
+    for ident, n in ((IdentityId.PREFIX_SUM, 6000), (IdentityId.G14, 4000)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            identity_sides(ident, {"k": 1, "n": n})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, f"{ident.value} at n = {n} peaked at {peak} bytes"
 
 
 def test_pell_reads_at_fresh_k_hold_no_family_numbers():

@@ -22,7 +22,7 @@ from dualpell import (
     identity_sides,
     required_bindings,
 )
-from dualpell.identities import _dot, _neg_k_pow, _prod, _sides_g19_stated, _sum, _vajda, _vajda_p
+from dualpell.identities import _dot, _neg_k_pow, _prod, _sides_g19_stated, _vajda, _vajda_p
 from dualpell.scalars import positive_k
 from dualpell.sequences import Terms
 from support import SEEDED, shown, sides_digests
@@ -301,26 +301,6 @@ def test_prod_is_the_plain_product_with_its_exact_type(a, b):
     assert value == plain and type(value) is type(plain)
 
 
-# Rows of ints, of mixed values and of Fraction(n, 1)s; g14 sums the empty row at n = -1.
-rows = st.one_of(
-    st.lists(st.integers(-(10**20), 10**20), max_size=8),
-    st.lists(scalars, max_size=8),
-    st.lists(st.builds(Fraction, st.integers(-(10**20), 10**20)), max_size=8),
-)
-
-
-@SEEDED
-@given(rows)
-@example([])
-@example([1, 2, 3])
-@example([Fraction(6), Fraction(-2)])
-@example([0, Fraction(1, 2), 3, Fraction(5, 6)])
-def test_sum_is_the_plain_sum_with_its_exact_type(values):
-    plain = sum(values)
-    value = _sum(values)
-    assert value == plain and type(value) is type(plain)
-
-
 @SEEDED
 @given(ks, st.integers(-6, 9), st.integers(-6, 9), st.integers(-6, 9), st.sampled_from((1, -1)))
 @example(2, 3, -2, -1, 1)
@@ -359,10 +339,11 @@ HOLDS_ONLY_WHERE = {
     # The misstated Catalan form has one power of -k too many, so it holds only where P_r = 0.
     IdentityId.G19STATED: lambda k, n, r: r == 0,
 }
-# (exception, the largest n that raises it): g14 sums P_0..P_n, and
-# seq_prefix_sum rejects a negative n. The Binet routes hold at every n.
+# (exception, the largest n that raises it): g14 sums P_0..P_n, which
+# Terms.sum_to takes for n >= -1, and seq_prefix_sum rejects a negative n.
+# The Binet routes hold at every n.
 RAISES_UP_TO = {
-    IdentityId.G14: (IndexError, -2),
+    IdentityId.G14: (ValueError, -2),
     IdentityId.PREFIX_SUM: (ValueError, -1),
 }
 K_ENTRIES = tuple(ident for ident, entry in CATALOG.items() if entry.uses_k)
