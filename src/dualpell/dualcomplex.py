@@ -12,7 +12,9 @@ each run one kernel, in int on the forms. Four ints (d = 1) or four
 Fractions over d > 1 are held as the form alone; any other value keeps its
 coefficients as given beside it. A kernel's result holds its form alone: its
 coefficients are read off the form, as plain ints when d = 1, so integral
-results come back with int coefficients. The dual-complex conjugate of
+results come back with int coefficients. The other four conjugates are
+signed permutations of the numerators, each move held by its Conjugation
+member; the dual-complex conjugate of
 (a, b, c, e)/D is (aN, -bN, x, y)/(D N) with N = a^2 + b^2. A quotient w / v
 is w v* / (v v*) for the dual-complex conjugate v*: v v* is the real
 |z1|^2, so it is w v* scaled by its reciprocal. No coefficient ever becomes
@@ -49,13 +51,22 @@ class Conjugation(Enum):
     COUPLED       z1* - eps z2*        (composition of the two above)
     DUAL_COMPLEX  z1* (1 - eps z2/z1)  (needs z1 invertible)
     ANTI_DUAL     z2  - eps z1         (swap halves, negate the new eps half)
+
+    Each member but DUAL_COMPLEX holds its move, the signed permutation of
+    the form's numerators, as _move: conjugate reads it off the member, as a
+    table keyed by member would call Enum's Python-level __hash__.
     """
 
-    COMPLEX = 1
-    DUAL = 2
-    COUPLED = 3
-    DUAL_COMPLEX = 4
-    ANTI_DUAL = 5
+    def __new__(cls, value: int, move: Any) -> "Conjugation":
+        member = object.__new__(cls)
+        member._value_, member._move = value, move
+        return member
+
+    COMPLEX = 1, lambda r, i, d, di: (r, -i, d, -di)
+    DUAL = 2, lambda r, i, d, di: (r, i, -d, -di)
+    COUPLED = 3, lambda r, i, d, di: (r, -i, -d, di)
+    DUAL_COMPLEX = 4, None
+    ANTI_DUAL = 5, lambda r, i, d, di: (d, di, -r, -i)
 
 
 class _Fields:
@@ -164,10 +175,10 @@ class DualComplex(_Record):
         elif t1 in _EXACT and t2 in _EXACT and t3 in _EXACT and t4 in _EXACT:
             # cleared over the lcm d of the reduced denominators; d > 1 with one type is four
             # Fractions, which the form reads back as given, so only other values keep theirs
-            d1, d2, d3, d4 = real.denominator, imag.denominator, dual.denominator, dual_imag.denominator
+            (n1, d1), (n2, d2) = real.as_integer_ratio(), imag.as_integer_ratio()
+            (n3, d3), (n4, d4) = dual.as_integer_ratio(), dual_imag.as_integer_ratio()
             d = lcm(d1, d2, d3, d4)
-            self._form = (real.numerator * (d // d1), imag.numerator * (d // d2),
-                          dual.numerator * (d // d3), dual_imag.numerator * (d // d4), d)
+            self._form = n1 * (d // d1), n2 * (d // d2), n3 * (d // d3), n4 * (d // d4), d
             self._c = None if d != 1 and t1 is t2 is t3 is t4 else (real, imag, dual, dual_imag)
         else:
             shown = ", ".join(type(c).__name__ for c in (real, imag, dual, dual_imag))
@@ -232,8 +243,8 @@ class DualComplex(_Record):
         if type(s) not in _EXACT:
             raise TypeError(f"cannot scale a DualComplex by {type(s).__name__}")
         n1, n2, n3, n4, d = self._form
-        p = s.numerator
-        return _over(p * n1, p * n2, p * n3, p * n4, s.denominator * d)
+        p, q = s.as_integer_ratio()
+        return _over(p * n1, p * n2, p * n3, p * n4, q * d)
 
     def __mul__(self, other: Any) -> "DualComplex":
         if not isinstance(other, DualComplex):
@@ -268,9 +279,10 @@ class DualComplex(_Record):
         four are signed permutations of the form's numerators.
         """
         a, b, c, e, den = self._form
-        if kind is not Conjugation.DUAL_COMPLEX:
+        move = kind._move
+        if move is not None:
             w = object.__new__(DualComplex)
-            w._c, w._form = None, (*_MOVES[kind](a, b, c, e), den)
+            w._c, w._form = None, (*move(a, b, c, e), den)
             return w
         # conj(w) = z1* (1 - eps z2/z1) = z1* - eps z2 (z1*)^2 / |z1|^2, here with
         # Z1 = a + bi, Z2 = c + ei and (Z1*)^2 = c0 + c1 i, so x + yi = -Z2 (Z1*)^2
@@ -326,14 +338,6 @@ def _sum(fa: tuple, fb: tuple, op: Any) -> DualComplex:
 
 
 _JSON_KEYS = ("one", "i", "eps", "ieps")
-
-_MOVES = {
-    Conjugation.COMPLEX: lambda r, i, d, di: (r, -i, d, -di),
-    Conjugation.DUAL: lambda r, i, d, di: (r, i, -d, -di),
-    Conjugation.COUPLED: lambda r, i, d, di: (r, -i, -d, di),
-    Conjugation.ANTI_DUAL: lambda r, i, d, di: (d, di, -r, -i),
-}
-
 
 DC_ZERO = DualComplex(0, 0, 0, 0)
 DC_ONE = DualComplex(1, 0, 0, 0)

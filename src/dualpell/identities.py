@@ -15,11 +15,17 @@ that depends on fewer indices than its entry, and so repeats across a grid,
 is read through ``t.once`` and built once per view.
 
 One rule builds a side over Q: it is made from int numerators and
-denominators and normalized once (``_dot`` for a*b +/- c*d, ``_prod`` for a*b,
-``Terms.sum_to`` for the literal sum P_0 + ... + P_n, streamed off the cleared
-terms, and Vajda's gamma sign P_i P_j held as one DualComplex per view and
-scaled by (-k)^n), and at integer k it stays the plain expression. Either way
-a side has the exact type of the plain expression.
+denominators ("int parts"), each value's read with one ``as_integer_ratio()``
+call, and normalized once, so at rational k no side or ``t.once`` value
+calls an operator of ``fractions``. The helpers are ``_dot`` for
+a*b + s*c*d (a sum or difference too, with an operand of 1), ``_prod`` for
+s*a*b with an int s (2 P_n, sign P_i P_j), ``_neg_k_pow`` for (-k)^j as
+(-p)^j / q^j, ``Terms.sum_to`` for the literal sum P_0 + ... + P_n,
+streamed off the cleared terms, and Vajda's gamma sign P_i P_j held as one
+DualComplex per view and scaled by (-k)^n; any other value, such as g14's
+1/(k+1), is one Fraction of int parts. At integer k each stays the plain
+int expression. Either way a side has the exact type of the plain
+expression.
 
 Two entries (ring_axioms, div_roundtrip) are sample-based rather than
 grid-based: they take no k (``t`` is None) and the integer binding n selects
@@ -82,25 +88,30 @@ def as_dual_complex(side: Side) -> DualComplex:
 
 # --- scalar sides over Q, normalized once ------------------------------------
 # Each has the exact type of the plain expression: an int if every operand is
-# one, else a Fraction, so Fraction(6, 1) stays a Fraction. At integer k the
-# callers of _dot keep the plain expression, where these type tests
-# cost more than the int arithmetic; _prod's two tests cost what a call-site
-# test would, so it serves integer k too, where P_j at j < 0 is a Fraction.
+# one, else a Fraction, so Fraction(6, 1) stays a Fraction. An int operand,
+# such as the 2 of 2 P_n, reads as its own int parts. Where a caller
+# already tests integer k (the norm products' slots, Honsberger's helper,
+# Vajda's scalar left side) it keeps the plain int expression, which costs
+# less than these type tests; elsewhere the one type test here serves
+# integer k too, where P_j at j < 0 is a Fraction.
 
 def _dot(a, b, c, d, sign=1):
     """a*b + sign*c*d, an int if all four are; else one Fraction of their int parts, normalized once."""
     if int is type(a) is type(b) is type(c) is type(d):
         return a * b + sign * c * d
-    den, other = a.denominator * b.denominator, c.denominator * d.denominator
-    ab, cd = a.numerator * b.numerator, sign * c.numerator * d.numerator
-    return Fraction(ab + cd, den) if den == other else Fraction(ab * other + cd * den, den * other)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    (cn, cd), (dn, dd) = c.as_integer_ratio(), d.as_integer_ratio()
+    den, other = ad * bd, cd * dd
+    x, y = an * bn, sign * cn * dn
+    return Fraction(x + y, den) if den == other else Fraction(x * other + y * den, den * other)
 
 
-def _prod(a, b):
-    """a*b, an int if both are; else one Fraction of their int parts, normalized once."""
+def _prod(a, b, s=1):
+    """s*a*b for an int s, an int if a and b are; else one Fraction of their int parts, normalized once."""
     if int is type(a) is type(b):
-        return a * b
-    return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+        return s * a * b
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    return Fraction(s * an * bn, ad * bd)
 
 
 # --- conjugation products of the k-Pell dual-complex number (F12-F25) ------
@@ -125,7 +136,7 @@ def _sides_f13(t, n):
     """Under the dual conjugate w * conj(w) = z1^2, not |z1|^2."""
     p0, p1 = t.p(n), t.p(n + 1)
     z1 = p0**2 - p1**2 if type(t.k) is int else _dot(p0, p0, p1, p1, -1)
-    return t.q(n).norm_product(Conjugation.DUAL), _dc(z1, 2 * p0 * p1)
+    return t.q(n).norm_product(Conjugation.DUAL), _dc(z1, _prod(p0, p1, 2))
 
 
 def _twice_dot(t, a, b, c, d, sign):
@@ -133,7 +144,7 @@ def _twice_dot(t, a, b, c, d, sign):
     pa, pb, pc, pd = t.p(a), t.p(b), t.p(c), t.p(d)
     if type(t.k) is int:
         return 2 * (pa * pb + sign * pc * pd)
-    return 2 * _dot(pa, pb, pc, pd, sign)
+    return _prod(2, _dot(pa, pb, pc, pd, sign))
 
 
 # --- conjugation sums and mixed relations (F16-F21) -------------------------
@@ -142,8 +153,8 @@ def _sum_entry(kind: Conjugation, kept: int) -> Sides:
     """w + conj(w) = 2(P_n + e P_{n+kept}), e the slot besides 1 that kind leaves unnegated."""
     def sides(t, n):
         w = t.q(n)
-        slots = [2 * t.p(n), 0, 0, 0]
-        slots[kept] = 2 * t.p(n + kept)
+        slots = [_prod(2, t.p(n)), 0, 0, 0]
+        slots[kept] = _prod(2, t.p(n + kept))
         return w + w.conjugate(kind), _dc(*slots)
 
     return sides
@@ -152,7 +163,7 @@ def _sum_entry(kind: Conjugation, kept: int) -> Sides:
 def _sides_f19(t, n):
     w = t.q(n)
     lhs = _dc(t.p(n), t.p(n + 1)) * w.conjugate(Conjugation.DUAL_COMPLEX)
-    rhs = _dc(t.p(n), -t.p(n + 1)) * w.conjugate(Conjugation.DUAL)
+    rhs = _dc(t.p(n), _prod(-1, t.p(n + 1))) * w.conjugate(Conjugation.DUAL)
     return lhs, rhs
 
 
@@ -195,12 +206,13 @@ def _sides_f31(t, n):
 # --- quaternion identities (G9-G19) ------------------------------------------
 
 def _honsberger_rhs(t, s):
-    tail = _dc(-t.p(s + 2), t.p(s + 1), t.p(s + 2) - 2 * t.p(s + 4), 3 * t.p(s + 3))
+    p2 = t.p(s + 2)
+    tail = _dc(_prod(-1, p2), t.p(s + 1), _dot(p2, 1, t.p(s + 4), -2), _prod(3, t.p(s + 3)))
     return t.q(s) + tail
 
 
 def _sides_g11(t, n):
-    lhs = t.qq(n + 1, n + 1) - t.qq(n - 1, n - 1).scale(t.k * t.k)
+    lhs = t.qq(n + 1, n + 1) - t.qq(n - 1, n - 1).scale(_prod(t.k, t.k))
     # Q_{n+1} - kQ_{n-1} = 2Q_n and the ring commutes, so the left side is
     # 2(kQ_{n-1}Q_n + Q_nQ_{n+1}): twice g13 at m = n.
     return lhs, _honsberger_rhs(t, 2 * n).scale(2)
@@ -213,7 +225,7 @@ def _sides_g12(t, n):
         - DC_EPS * t.q(n + 2)
         - DC_IEPS * t.q(n + 3)
     )
-    return lhs, _dc(t.p(n) - t.p(n + 2), 0, 2 * t.p(n + 4), 0)
+    return lhs, _dc(_dot(t.p(n), 1, t.p(n + 2), -1), 0, _prod(2, t.p(n + 4)), 0)
 
 
 def _sides_g13(t, n, m):
@@ -224,19 +236,23 @@ def _sides_g14(t, n):
     # Slot c of Q_0 + ... + Q_n is P_c + ... + P_{n+c}: slot c - 1's window moved up by one.
     slots = [t.sum_to(n)]
     for c in range(1, 4):
-        slots.append(slots[-1] - t.p(c - 1) + t.p(n + c))
+        slots.append(_dot(slots[-1], 1, _dot(t.p(n + c), 1, t.p(c - 1), -1), 1))
     closed = t.q(n + 1) + t.q(n).scale(t.k) - t.q(1) + t.q(0)
-    return DualComplex(*slots), closed.scale(Fraction(1) / (t.k + 1))
+    p, q = t.k.as_integer_ratio()
+    return DualComplex(*slots), closed.scale(Fraction(q, p + q))
 
 
 def _neg_k_pow(t, j):
-    """(-k)^j, exact at every j: an int for integer k and j >= 0, else a Fraction."""
-    return (-t.k) ** j if j >= 0 else Fraction(-t.k) ** j
+    """(-k)^j for k = p/q, exact at every j: (-p)^j, an int, for integer k and j >= 0, else one Fraction."""
+    p, q = t.k.as_integer_ratio()
+    if j < 0:
+        return Fraction((-q) ** -j, p**-j)
+    return (-p) ** j if q == 1 else Fraction((-p) ** j, q**j)
 
 
 def _signed_p_product(t, ijs):
     i, j, sign = ijs
-    return sign * t.p(i) * t.p(j)
+    return _prod(t.p(i), t.p(j), sign)
 
 
 def _gamma_p_product(t, ijs):
@@ -262,7 +278,7 @@ def _sides_g19_stated(t, n, r):
 # --- scalar helper identities from the quaternion proofs ---------------------
 
 def _k_p_before(t, n):
-    return t.k * t.p(n - 1)
+    return _prod(t.k, t.p(n - 1))
 
 
 def _sides_helper_honsberger(t, n, m):
@@ -356,7 +372,7 @@ def _pre_catalan(n: int, r: int) -> bool:
 # Catalan (G19PROOF) and Cassini (G18, HELPER_CASSINI) are Vajda's identity at
 # fixed indices. Each row calls the module function, not a CATALOG entry, and
 # keeps its own params, pre and entry.
-_F12S = CatalogEntry(_norm_entry(Conjugation.COMPLEX, 2, lambda t, n: 2 * t.p(2 * n + 3)))
+_F12S = CatalogEntry(_norm_entry(Conjugation.COMPLEX, 2, lambda t, n: _prod(2, t.p(2 * n + 3))))
 _F13 = CatalogEntry(_sides_f13)
 _F15 = CatalogEntry(_norm_entry(Conjugation.DUAL_COMPLEX))
 _F26 = CatalogEntry(_recurrence(Family.K_PELL))
@@ -375,7 +391,7 @@ class IdentityId(Enum):
     F12RAW = "f12raw", CatalogEntry(_norm_entry(
         Conjugation.COMPLEX, 2, lambda t, n: _twice_dot(t, n, n + 2, n + 1, n + 3, 1)))
     F13 = "f13", _F13
-    F14 = "f14", CatalogEntry(_norm_entry(Conjugation.COUPLED, 3, lambda t, n: -4 * _neg_k_pow(t, n)))
+    F14 = "f14", CatalogEntry(_norm_entry(Conjugation.COUPLED, 3, lambda t, n: _prod(-4, _neg_k_pow(t, n))))
     F15 = "f15", _F15
     F16 = "f16", CatalogEntry(_sum_entry(Conjugation.COMPLEX, 2))
     F17 = "f17", CatalogEntry(_sum_entry(Conjugation.DUAL, 1))

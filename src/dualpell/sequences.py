@@ -14,7 +14,8 @@ every other term is a Fraction. The two mix exactly under +, -, * and
 nonnegative powers, so callers need not tell them apart. Each family's rows
 come from one rule, and its dual-complex numbers sit in one table per (family, k).
 That table and the P table with gamma(k) are the one per-k memo, which the
-public reads go to directly; a Terms view is made by each evaluation. A
+public reads go to directly; a Terms view is made by each evaluation and
+holds the tables it reads, so a read hashes no Fraction k. A
 literal sum P_0 + ... + P_n (Terms.sum_to) walks the cleared recurrence with
 one term live and builds at most one Fraction.
 """
@@ -149,7 +150,10 @@ class Terms:
     p(j) is P_j, d(family, j) the family's dual-complex number at j and q(j)
     that number for K_PELL; each is read off the one family rule, built once
     per (family, j) on the first read of its family and held by the per-k
-    memo, as is gamma, (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps.
+    memo, as is gamma, (1+k) + 2i + (2k^2+6k+4) eps + (4k+8) i eps. d checks
+    its family first, then keeps that family's table in a dict of this view,
+    fetched from the memo on the family's first read here and keyed by the
+    member's str value, so a later read hashes neither k nor the member.
     sum_to(n) is P_0 + ... + P_n, streamed on every call and held nowhere. qq(a, b)
     is Q_a Q_b, built once per unordered pair, and once(fn, key) is
     fn(self, key), built once per (fn, key); both are held by this view alone,
@@ -162,7 +166,7 @@ class Terms:
     as a dict serves it.
     """
 
-    __slots__ = ("k", "p", "q", "gamma", "_qq", "_once")
+    __slots__ = ("k", "p", "q", "gamma", "_qq", "_once", "_d")
 
     def __init__(self, k: Fraction | int) -> None:
         self.k = k
@@ -170,6 +174,7 @@ class Terms:
         self.q = q = _numbers(Family.K_PELL, k)
         self._qq = _ByIndex(lambda ab: q(ab[0]) * q(ab[1]))
         self._once = {}  # a plain dict: a closure over self here would make a reference cycle
+        self._d = {}
 
     def qq(self, a: int, b: int) -> DualComplex:
         return self._qq[(a, b) if a <= b else (b, a)]
@@ -200,7 +205,11 @@ class Terms:
         return Fraction(q * acc, q**n)
 
     def d(self, family: Family, j: int) -> DualComplex:
-        return _numbers(_checked_family(family), self.k)(j)
+        key = _checked_family(family)._value_
+        table = self._d.get(key)
+        if table is None:
+            table = self._d[key] = _numbers(family, self.k)
+        return table(j)
 
 
 def terms(k: Fraction | int) -> Terms:
@@ -277,10 +286,11 @@ def seq_binet(k: Fraction | int, n: int) -> Fraction:
 
 
 def seq_prefix_sum(k: Fraction | int, n: int) -> Fraction:
-    """Closed form of sum(P_{k,i} for i = 0..n): (-1 + P_{n+1} + k P_n)/(k+1)."""
+    """Closed form of sum(P_{k,i} for i = 0..n): (-1 + P_{n+1} + k P_n)/(k+1), one Fraction of int parts."""
     n, k = exact_index(n, 0), positive_k(k)
     p = _shared(k)[0]
-    return Fraction(-1 + p(n + 1) + k * p(n), k + 1)
+    (a, b), (c, d), (kn, kd) = p(n + 1).as_integer_ratio(), p(n).as_integer_ratio(), k.as_integer_ratio()
+    return Fraction(kd * d * (a - b) + kn * c * b, b * d * (kn + kd))
 
 
 def dc_number(family: Family, k: Fraction | int, n: int) -> DualComplex:

@@ -291,14 +291,25 @@ def test_dot_is_the_plain_expression_with_its_exact_type(a, b, c, d, sign):
 
 
 @SEEDED
-@given(scalars, scalars)
-@example(3, 4)
-@example(Fraction(6), 1)
-@example(Fraction(3, 2), 2)
-def test_prod_is_the_plain_product_with_its_exact_type(a, b):
-    plain = a * b
-    value = _prod(a, b)
+@given(scalars, scalars, st.sampled_from((1, -1, 2, 3, -4)))
+@example(3, 4, 1)
+@example(Fraction(6), 1, 1)
+@example(Fraction(3, 2), 2, 1)
+@example(2, Fraction(3, 2), -1)
+def test_prod_is_the_plain_product_with_its_exact_type(a, b, s):
+    plain = s * a * b
+    value = _prod(a, b, s)
     assert value == plain and type(value) is type(plain)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(7, 4), Fraction(22, 7)],
+                         ids=str)
+def test_neg_k_pow_is_the_plain_power_with_its_exact_type(k):
+    t = Terms(k)
+    for j in range(-40, 41):
+        plain = (-k) ** j if type(k) is int and j >= 0 else Fraction(-k) ** j
+        value = _neg_k_pow(t, j)
+        assert value == plain and type(value) is type(plain), j
 
 
 @SEEDED
@@ -409,3 +420,36 @@ def test_identity_sides_shows_a_scalar_side_as_a_dual_complex(ident, k):
         for side, scalar in zip(identity_sides(ident, bindings), entry.sides(Terms(k), *values)):
             assert type(side) is DualComplex
             assert shown(side) == shown(DualComplex(scalar, 0, 0, 0))
+
+
+# Fraction's arithmetic operators, each a Python-level call in fractions.py.
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__truediv__", "__rtruediv__", "__neg__", "__pow__")
+
+
+@pytest.mark.parametrize("k", [Fraction(3, 2), Fraction(7, 4)], ids=str)
+def test_a_warm_evaluation_at_rational_k_calls_no_fraction_operator(k, monkeypatch):
+    # Every side is built from int parts: once the per-k memo holds the terms,
+    # fresh views evaluate every k-entry without one Fraction operator call.
+    ranges = {"n": range(7), "m": range(7), "r": range(1, 5)}
+
+    def evaluate():
+        for ident in K_ENTRIES:
+            entry, t = CATALOG[ident], Terms(k)
+            for values in itertools.product(*(ranges[name] for name in entry.params)):
+                if entry.pre(*values):
+                    entry.sides(t, *values)
+
+    def counted(name, method):
+        def call(*args):
+            called.append(name)
+            return method(*args)
+        return call
+
+    evaluate()
+    called = []
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    evaluate()
+    monkeypatch.undo()
+    assert called == []
